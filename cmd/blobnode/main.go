@@ -31,28 +31,20 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"blob/internal/core"
-	"blob/internal/dht"
-	"blob/internal/diskstore"
 	"blob/internal/erasure"
-	"blob/internal/events"
-	"blob/internal/monitor"
-	"blob/internal/mstore"
+	"blob/internal/node"
 	"blob/internal/pmanager"
-	"blob/internal/provider"
-	repairpkg "blob/internal/repair"
 	"blob/internal/rpc"
 	"blob/internal/stats"
 	"blob/internal/trace"
@@ -60,519 +52,118 @@ import (
 )
 
 func main() {
-	var (
-		listen     = flag.String("listen", ":4000", "address to listen on")
-		advertise  = flag.String("advertise", "", "address other nodes reach this node at (default: -listen)")
-		roles      = flag.String("roles", "", "comma-separated roles: vmanager,pmanager,provider,metadata")
-		pmAddr     = flag.String("pm", "", "provider manager / metadata directory address (for provider, metadata and vmanager roles)")
-		capacity   = flag.Int64("capacity", 0, "data provider page capacity in bytes (0 = unlimited)")
-		dataDir    = flag.String("data-dir", "", "data provider persistence directory (empty = RAM-only, the paper's mode)")
-		segSize    = flag.Int64("segment-size", 0, "segment file size for -data-dir in bytes (0 = 4 MiB default)")
-		diskCache  = flag.Int64("disk-cache", 0, "write-through RAM cache in front of -data-dir, in bytes (0 disables)")
-		compactEvr = flag.Duration("compact-interval", time.Minute, "segment compaction period for -data-dir (0 disables)")
-		compactBps = flag.Int64("compact-rate", 0, "compaction I/O throttle for -data-dir in bytes/sec (0 = unthrottled)")
-		syncWrites = flag.Bool("sync-writes", false, "fsync every page append to -data-dir")
-		repair     = flag.Duration("repair", 30*time.Second, "version manager dead-writer repair timeout (0 disables)")
-		vshards    = flag.Int("vshards", 1, "total version-manager shard count of the deployment (vmanager role)")
-		vshard     = flag.Int("vshard", 0, "this node's version-manager shard index (vmanager role with -vpeers)")
-		vreplica   = flag.Int("vreplica", 0, "this node's replica index within its shard (vmanager role with -vpeers)")
-		vpeers     = flag.String("vpeers", "", "comma-separated replica addresses of this shard, including this node; enables replicated vmanager mode (docs/vmanager-group.md)")
-		vrejoin    = flag.Bool("vrejoin", false, "this replica is restarting after a crash: boot as a follower and catch up from the incumbent leader")
-		vbeat      = flag.Duration("vheartbeat", 500*time.Millisecond, "shard leader idle append interval (replicated vmanager mode)")
-		velection  = flag.Duration("velection", 0, "follower silence before campaigning (0 = 10x -vheartbeat)")
-		repairBps  = flag.Int64("repair-rate", 0, "replica repair pull throttle in bytes/sec (0 = unthrottled; provider role)")
-		repairEvr  = flag.Duration("repair-interval", time.Minute, "replica repair sweep period (repairer role)")
-		vmAddr     = flag.String("vm", "", `version manager address, or a shard group "a,b;c,d" (repairer role)`)
-		heartbeat  = flag.Duration("heartbeat", 5*time.Second, "data provider heartbeat interval")
-		strategy   = flag.String("strategy", "round-robin", "placement strategy: round-robin|least-loaded|power-of-two")
-		redundancy = flag.String("redundancy", "replicate", `advertised redundancy mode: "replicate" or "rs(k,m)" (pmanager role; clients adopt it for new blobs)`)
-		checkpoint = flag.String("checkpoint", "", "version manager checkpoint file (loaded on start, saved periodically and on shutdown)")
-		ckptEvery  = flag.Duration("checkpoint-interval", time.Minute, "periodic checkpoint interval")
-		adminAddr  = flag.String("admin", "", "admin HTTP listen address serving /metrics, /healthz and /debug/pprof (empty disables)")
-		traceEvery = flag.Int("trace-sample", 0, "record spans for 1-in-N root operations (0 disables tracing, 1 traces everything)")
-		traceRing  = flag.Int("trace-ring", trace.DefaultRing, "span ring buffer capacity (spans kept per process)")
-		slowThresh = flag.Duration("slow-threshold", 0, "log the span tree of client operations slower than this (repairer role; 0 disables)")
-		eventRing  = flag.Int("event-ring", 0, "cluster event journal ring capacity (0 = default, negative disables)")
-		chaosDelay = flag.Duration("chaos-delay", 0, "gray-failure injection: hold every page serve this long (provider role; change live with blobctl chaos)")
-		chaosStall = flag.Bool("chaos-stall", false, "gray-failure injection: stall page serves outright until healed via blobctl chaos (provider role)")
-		pollEvery  = flag.Duration("poll", time.Second, "cluster poll interval (monitor role)")
-		watchVM    = flag.String("watch-vm", "", `version-manager shards the monitor polls: replica addresses comma-separated within a shard, shards separated by ";" (monitor role)`)
-		watchEvs   = flag.String("watch-events", "", "comma-separated extra addresses the monitor tails MEvents from, e.g. the repairer node (monitor role)")
-	)
-	flag.Parse()
-
-	if *roles == "" {
-		fmt.Fprintln(os.Stderr, "at least one -roles value is required")
+	cfg, listen, admin, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	adv := *advertise
-	if adv == "" {
-		adv = *listen
-	}
-
-	red, err := erasure.ParseRedundancy(*redundancy)
+	l, err := net.Listen("tcp", listen)
 	if err != nil {
-		log.Fatalf("-redundancy: %v", err)
+		log.Fatalf("listen %s: %v", listen, err)
 	}
-
-	srv := rpc.NewServer()
-	pool := rpc.NewPool(rpc.TCP{})
-	defer pool.Close()
-	ctx := context.Background()
-
-	// Observability plane (docs/observability.md): a per-process span
-	// tracer served over MSpans, and a metrics registry exposed on the
-	// -admin HTTP listener.
-	var tracer *trace.Tracer
-	if *traceEvery > 0 {
-		tracer = trace.New(adv, *traceRing, *traceEvery)
-		srv.SetTracer(tracer)
-		log.Printf("tracing 1-in-%d operations (ring %d spans)", *traceEvery, *traceRing)
+	cfg.Listener = l
+	if admin != "" {
+		cfg.Metrics = stats.NewRegistry()
+		registerRPCMetrics(cfg.Metrics)
 	}
-	reg := stats.NewRegistry()
-	if *adminAddr != "" {
-		srv.EnableMetrics(reg)
-		registerRPCMetrics(reg)
-	}
-	// Every process keeps a cluster event journal (docs/observability.md)
-	// served over MEvents; role setup below hooks its emit sites in.
-	journal := events.NewJournal(adv, *eventRing)
-	srv.SetJournal(journal)
-	pool.SetJournal(journal)
-
-	var vm *vmanager.Manager
-	var vrep *vmanager.Replica
-	var pm *pmanager.Manager
-	var mon *monitor.Monitor
-	var dataSvc *provider.Service
-	var dataStore provider.PageStore
-	var providerID uint32
-	// repairNow wakes a co-hosted repairer role ahead of its sweep timer
-	// when the co-hosted pmanager detects a heartbeat death.
-	repairNow := make(chan struct{}, 1)
-	hasRepairer := false
-
-	for _, role := range strings.Split(*roles, ",") {
-		switch strings.TrimSpace(role) {
-		case "pmanager":
-			strat := pmanager.RoundRobin
-			switch *strategy {
-			case "least-loaded":
-				strat = pmanager.LeastLoaded
-			case "power-of-two":
-				strat = pmanager.PowerOfTwo
-			}
-			pm = pmanager.New(pmanager.Config{
-				Strategy:         strat,
-				HeartbeatTimeout: 4 * *heartbeat,
-				Redundancy:       red,
-				Journal:          journal,
-			})
-			pm.RegisterHandlers(srv)
-			// The metadata directory co-habits the provider manager node.
-			dir := dht.NewDirectory()
-			dir.RegisterHandlers(srv)
-			log.Printf("role pmanager+directory (strategy %s, redundancy %s)", strat, red)
-
-		case "vmanager":
-			cfg := vmanager.Config{}
-			if *repair > 0 {
-				if *pmAddr == "" {
-					log.Fatal("vmanager with repair needs -pm (metadata directory address)")
-				}
-				kv, err := dht.NewDirectoryClient(ctx, pool, *pmAddr, 1)
-				if err != nil {
-					log.Fatalf("vmanager: reach metadata directory: %v", err)
-				}
-				cfg.RepairTimeout = *repair
-				cfg.Store = mstore.New(kv, 0)
-			}
-			if *vpeers != "" {
-				// Replicated shard member (docs/vmanager-group.md): the
-				// replicated publish log is the durable state, so the
-				// file-checkpoint machinery does not apply.
-				if *checkpoint != "" {
-					log.Fatal("vmanager: -checkpoint is incompatible with -vpeers (the shard log is the durable state)")
-				}
-				peers := strings.Split(*vpeers, ",")
-				for i := range peers {
-					peers[i] = strings.TrimSpace(peers[i])
-				}
-				if *vreplica < 0 || *vreplica >= len(peers) {
-					log.Fatalf("vmanager: -vreplica %d out of range for %d peers", *vreplica, len(peers))
-				}
-				if *vshard < 0 || *vshard >= *vshards {
-					log.Fatalf("vmanager: -vshard %d out of range for -vshards %d", *vshard, *vshards)
-				}
-				vrep = vmanager.NewReplica(vmanager.ReplicaConfig{
-					Shard:           *vshard,
-					Shards:          *vshards,
-					Index:           *vreplica,
-					Peers:           peers,
-					Pool:            pool,
-					Heartbeat:       *vbeat,
-					ElectionTimeout: *velection,
-					Rejoin:          *vrejoin,
-					Journal:         journal,
-					Manager:         cfg,
-				})
-				vrep.RegisterHandlers(srv)
-				log.Printf("role vmanager replica (shard %d/%d, replica %d of %d, rejoin %v, repair %v)",
-					*vshard, *vshards, *vreplica, len(peers), *vrejoin, *repair)
-				break
-			}
-			if *checkpoint != "" {
-				if f, err := os.Open(*checkpoint); err == nil {
-					vm, err = vmanager.Restore(f, cfg)
-					f.Close()
-					if err != nil {
-						log.Fatalf("vmanager: restore %s: %v", *checkpoint, err)
-					}
-					log.Printf("role vmanager restored from %s", *checkpoint)
-				} else if !os.IsNotExist(err) {
-					log.Fatalf("vmanager: open checkpoint: %v", err)
-				}
-			}
-			if vm == nil {
-				vm = vmanager.New(cfg)
-			}
-			vm.RegisterHandlers(srv)
-			log.Printf("role vmanager (repair %v)", *repair)
-
-		case "provider":
-			if *pmAddr == "" {
-				log.Fatal("provider role needs -pm")
-			}
-			if *dataDir != "" {
-				ds, err := provider.NewDiskStore(diskstore.Options{
-					Dir:              *dataDir,
-					SegmentSize:      *segSize,
-					Sync:             *syncWrites,
-					CompactEvery:     *compactEvr,
-					CompactRateBytes: *compactBps,
-					Journal:          journal,
-				}, *capacity)
-				if err != nil {
-					log.Fatalf("provider: open data dir %s: %v", *dataDir, err)
-				}
-				snap := ds.Snapshot()
-				log.Printf("provider: recovered %d pages (%d live bytes, %d segments; %d sidecars loaded, %d bytes replayed) from %s",
-					snap.PageCount, snap.BytesUsed, snap.Segments, snap.SidecarsLoaded, snap.ReplayedBytes, *dataDir)
-				dataStore = ds
-				if *diskCache > 0 {
-					dataStore = provider.NewCachedStore(ds, *diskCache)
-				}
-			} else {
-				dataStore = provider.NewStore(*capacity)
-			}
-			dataSvc = provider.NewService(dataStore)
-			// Peer pulls (MPullPages) dial other providers through the
-			// node's shared TCP pool, throttled by -repair-rate.
-			dataSvc.EnableRepair(pool, *repairBps)
-			dataSvc.RegisterHandlers(srv)
-			dataSvc.RegisterMetrics(reg)
-			id, err := pmanager.RegisterProvider(ctx, pool, *pmAddr, adv, *capacity)
-			if err != nil {
-				log.Fatalf("provider: register with %s: %v", *pmAddr, err)
-			}
-			providerID = id
-			log.Printf("role provider (id %d, capacity %d, persistence %q, repair rate %d B/s)",
-				id, *capacity, *dataDir, *repairBps)
-			if *chaosDelay > 0 || *chaosStall {
-				// Boot gray: the acceptance harness and the chaos bench
-				// start sick providers this way (docs/robustness.md).
-				dataSvc.SetChaos(*chaosDelay, *chaosStall)
-				log.Printf("provider: CHAOS armed (delay %v, stall %v)", *chaosDelay, *chaosStall)
-			}
-
-		case "repairer":
-			// The replica repair agent: periodically walks every blob's
-			// metadata, directs degraded providers to pull missing
-			// pages from healthy peers (docs/replication.md), and
-			// reconstructs missing erasure-coded shards from stripe
-			// survivors (docs/erasure.md). Needs both managers: -vm for
-			// the blob list and versions, -pm for placement and the
-			// metadata directory.
-			if *pmAddr == "" || *vmAddr == "" {
-				log.Fatal("repairer role needs -pm and -vm")
-			}
-			hasRepairer = true
-			if *repairEvr <= 0 {
-				log.Fatal("repairer role needs -repair-interval > 0")
-			}
-			vmShards, err := vmanager.ParseGroupAddrs(*vmAddr)
-			if err != nil {
-				log.Fatalf("repairer: -vm: %v", err)
-			}
-			// The repairer is the deployment's long-lived client, and its
-			// journal is what the monitor tails (-watch-events) — so its
-			// breakers are the cluster's gray-failure detector: a provider
-			// answering its sweeps slowly or not at all trips a per-peer
-			// breaker here, and the open/close transitions surface in
-			// blobctl events and the monitor rollup (docs/robustness.md).
-			client, err := core.NewClient(ctx, core.Options{
-				Network:        rpc.TCP{},
-				VManagerShards: vmShards,
-				PManagerAddr:   *pmAddr,
-				MetaDirAddr:    *pmAddr,
-				Tracer:         tracer,
-				SlowThreshold:  *slowThresh,
-				Breakers:       true,
-				Journal:        journal,
-			})
-			if err != nil {
-				log.Fatalf("repairer: connect: %v", err)
-			}
-			agent := repairpkg.New(client)
-			agent.Log = log.Printf
-			agent.Journal = journal
-			interval := *repairEvr
-			go func() {
-				t := time.NewTicker(interval)
-				defer t.Stop()
-				for {
-					select {
-					case <-t.C:
-					case <-repairNow:
-						// A co-hosted pmanager detected a heartbeat
-						// death: repair immediately instead of waiting
-						// out the sweep timer.
-						log.Printf("repairer: provider death detected, sweeping now")
-					}
-					sctx, cancel := context.WithTimeout(ctx, interval*4)
-					// Re-learn the metadata membership each sweep: the
-					// boot-time ring may predate some nodes' registration,
-					// and a stale ring hashes tree nodes to the wrong
-					// provider.
-					if err := client.Meta().Refresh(sctx); err != nil {
-						log.Printf("repairer: refresh metadata ring: %v", err)
-					}
-					blobs, err := client.VersionManager().Blobs(sctx)
-					if err != nil {
-						log.Printf("repairer: list blobs: %v", err)
-						cancel()
-						continue
-					}
-					rep, err := agent.RepairAll(sctx, blobs)
-					cancel()
-					if err != nil {
-						log.Printf("repairer: %v", err)
-					}
-					if rep.PagesMissing > 0 {
-						log.Printf("repairer: %d slots degraded, %d repaired (%d bytes pulled), %d reconstructed (%d bytes), %d unrepairable",
-							rep.PagesMissing, rep.PagesRepaired, rep.BytesPulled,
-							rep.PagesReconstructed, rep.ReconstructedBytes, rep.Unrepairable)
-					}
-				}
-			}()
-			log.Printf("role repairer (interval %v)", interval)
-
-		case "monitor":
-			// The cluster health plane's aggregator: polls every node,
-			// rolls the cluster up into one snapshot, and serves it over
-			// MCluster (blobctl top) and the admin listener's /cluster/*
-			// endpoints (docs/observability.md).
-			if *pmAddr == "" {
-				log.Fatal("monitor role needs -pm")
-			}
-			var shards [][]string
-			if *watchVM != "" {
-				var err error
-				shards, err = vmanager.ParseGroupAddrs(*watchVM)
-				if err != nil {
-					log.Fatalf("monitor: -watch-vm: %v", err)
-				}
-			}
-			var extra []string
-			if *watchEvs != "" {
-				for _, a := range strings.Split(*watchEvs, ",") {
-					if a = strings.TrimSpace(a); a != "" {
-						extra = append(extra, a)
-					}
-				}
-			}
-			mon = monitor.New(monitor.Config{
-				Pool:       pool,
-				PMAddr:     *pmAddr,
-				VMShards:   shards,
-				EventNodes: extra,
-				Interval:   *pollEvery,
-				Logf:       log.Printf,
-			})
-			mon.RegisterHandlers(srv)
-			log.Printf("role monitor (poll %v, %d vm shards, %d extra event nodes)",
-				*pollEvery, len(shards), len(extra))
-
-		case "metadata":
-			if *pmAddr == "" {
-				log.Fatal("metadata role needs -pm (directory address)")
-			}
-			st := dht.NewStore()
-			st.RegisterHandlers(srv)
-			id, err := dht.RegisterWith(ctx, pool, *pmAddr, adv)
-			if err != nil {
-				log.Fatalf("metadata: register with %s: %v", *pmAddr, err)
-			}
-			log.Printf("role metadata provider (id %d)", id)
-
-		default:
-			log.Fatalf("unknown role %q", role)
-		}
-	}
-
-	l, err := net.Listen("tcp", *listen)
+	n, err := node.Start(context.Background(), cfg)
 	if err != nil {
-		log.Fatalf("listen %s: %v", *listen, err)
+		log.Fatal(err)
 	}
-	srv.Start(l)
-	var serving atomic.Bool
-	serving.Store(true)
-	log.Printf("listening on %s (advertised as %s)", *listen, adv)
-	if mon != nil {
-		mon.Start()
-	}
-	if *adminAddr != "" {
-		// Readiness (not liveness): serving goes false the moment
-		// shutdown begins — before the page store closes — and a
-		// vmanager replica is only ready while its shard has a leader
-		// it can route to. The page store itself opened before the RPC
-		// listener, so "serving" also implies "store open".
-		ready := func() (bool, string) {
-			if !serving.Load() {
-				return false, "shutting down"
-			}
-			if vrep != nil {
-				st := vrep.Status()
-				if !st.IsLeader && st.Leader < 0 {
-					return false, fmt.Sprintf("vmanager shard %d: no reachable leader", st.Shard)
-				}
-			}
-			return true, "ok"
-		}
-		startAdmin(*adminAddr, reg, mon, ready)
-	}
-
-	// Heartbeat loop for the data provider role.
-	stop := make(chan struct{})
-
-	// The pmanager always watches for heartbeat deaths: the watch loop
-	// is what journals heartbeat-death events for the monitor's tail.
-	// When a repairer role co-habits this process, a death additionally
-	// triggers an immediate repair pass.
-	if pm != nil {
-		go pm.DeathWatch(stop, func(id uint32) {
-			log.Printf("pmanager: provider %d stopped heartbeating", id)
-			if !hasRepairer {
-				return
-			}
-			select {
-			case repairNow <- struct{}{}:
-			default:
-			}
-		})
-	}
-	if dataSvc != nil {
-		go func() {
-			t := time.NewTicker(*heartbeat)
-			defer t.Stop()
-			// Bloom-digest piggyback: recompute when the store's
-			// counters move, resend bytes only while the manager's held
-			// hash disagrees (see docs/observability.md).
-			var digHash, held uint64
-			var digest []byte
-			lastPuts, lastPages := int64(-1), int64(-1)
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					snap := dataSvc.Snapshot()
-					if snap.Puts != lastPuts || snap.PageCount != lastPages {
-						digHash, digest, _ = dataSvc.DigestBytes()
-						lastPuts, lastPages = snap.Puts, snap.PageCount
-					}
-					var payload []byte
-					if digHash != 0 && digHash != held {
-						payload = digest
-					}
-					hctx, cancel := context.WithTimeout(ctx, *heartbeat)
-					h, err := pmanager.SendHeartbeatDigest(hctx, pool, *pmAddr, providerID, snap.BytesUsed, snap.ActiveOps, digHash, payload)
-					if err != nil {
-						log.Printf("heartbeat: %v", err)
-					} else {
-						held = h
-					}
-					cancel()
-				}
-			}
-		}()
-	}
-
-	// Periodic version manager checkpoints.
-	if vm != nil && *checkpoint != "" {
-		go func() {
-			t := time.NewTicker(*ckptEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					if err := saveCheckpoint(vm, *checkpoint); err != nil {
-						log.Printf("checkpoint: %v", err)
-					}
-				}
-			}
-		}()
+	log.Printf("listening on %s (advertised as %s)", listen, cfg.Advertise)
+	if admin != "" {
+		startAdmin(admin, cfg.Metrics, n.Monitor(), n.Ready)
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Print("shutting down")
-	serving.Store(false)
-	close(stop)
-	if mon != nil {
-		mon.Close()
-	}
-	// Stop serving before closing the store: a GetPages answered from a
-	// closed store would report pages absent rather than failing the
-	// connection, and clients cannot tell that apart from data loss.
-	srv.Close()
-	if cl, ok := dataStore.(io.Closer); ok {
-		if err := cl.Close(); err != nil {
-			log.Printf("close data store: %v", err)
-		}
-	}
-	if vm != nil {
-		if *checkpoint != "" {
-			if err := saveCheckpoint(vm, *checkpoint); err != nil {
-				log.Printf("final checkpoint: %v", err)
-			}
-		}
-		vm.Close()
-	}
-	if vrep != nil {
-		vrep.Close()
-	}
+	n.Close()
 }
 
-// saveCheckpoint writes the manager state atomically (temp file+rename).
-func saveCheckpoint(vm *vmanager.Manager, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
+// parseFlags maps the command line onto a node configuration (without
+// its Listener and Metrics, which main creates) plus the -listen and
+// -admin addresses. Start validates the cross-flag rules.
+func parseFlags(fs *flag.FlagSet, args []string) (cfg node.Config, listen, admin string, err error) {
+	cfg = node.Config{Network: rpc.TCP{}, Logf: log.Printf, Breakers: true}
+	fs.StringVar(&listen, "listen", ":4000", "address to listen on")
+	fs.StringVar(&cfg.Advertise, "advertise", "", "address other nodes reach this node at (default: -listen)")
+	roles := fs.String("roles", "", "comma-separated roles: vmanager,pmanager,provider,metadata")
+	fs.StringVar(&cfg.PM, "pm", "", "provider manager / metadata directory address (for provider, metadata and vmanager roles)")
+	fs.Int64Var(&cfg.Capacity, "capacity", 0, "data provider page capacity in bytes (0 = unlimited)")
+	fs.StringVar(&cfg.DataDir, "data-dir", "", "data provider persistence directory (empty = RAM-only, the paper's mode)")
+	fs.Int64Var(&cfg.SegmentSize, "segment-size", 0, "segment file size for -data-dir in bytes (0 = 4 MiB default)")
+	fs.Int64Var(&cfg.DiskCache, "disk-cache", 0, "write-through RAM cache in front of -data-dir, in bytes (0 disables)")
+	fs.DurationVar(&cfg.CompactEvery, "compact-interval", time.Minute, "segment compaction period for -data-dir (0 disables)")
+	fs.Int64Var(&cfg.CompactRate, "compact-rate", 0, "compaction I/O throttle for -data-dir in bytes/sec (0 = unthrottled)")
+	fs.BoolVar(&cfg.SyncWrites, "sync-writes", false, "fsync every page append to -data-dir")
+	fs.DurationVar(&cfg.RepairTimeout, "repair", 30*time.Second, "version manager dead-writer repair timeout (0 disables)")
+	fs.IntVar(&cfg.VShards, "vshards", 1, "total version-manager shard count of the deployment (vmanager role)")
+	fs.IntVar(&cfg.VShard, "vshard", 0, "this node's version-manager shard index (vmanager role with -vpeers)")
+	fs.IntVar(&cfg.VReplica, "vreplica", 0, "this node's replica index within its shard (vmanager role with -vpeers)")
+	vpeers := fs.String("vpeers", "", "comma-separated replica addresses of this shard, including this node; enables replicated vmanager mode (docs/vmanager-group.md)")
+	fs.BoolVar(&cfg.VRejoin, "vrejoin", false, "this replica is restarting after a crash: boot as a follower and catch up from the incumbent leader")
+	fs.DurationVar(&cfg.VMHeartbeat, "vheartbeat", 500*time.Millisecond, "shard leader idle append interval (replicated vmanager mode)")
+	fs.DurationVar(&cfg.VMElection, "velection", 0, "follower silence before campaigning (0 = 10x -vheartbeat)")
+	fs.Int64Var(&cfg.RepairRate, "repair-rate", 0, "replica repair pull throttle in bytes/sec (0 = unthrottled; provider role)")
+	fs.DurationVar(&cfg.RepairInterval, "repair-interval", time.Minute, "replica repair sweep period (repairer role)")
+	vm := fs.String("vm", "", `version manager address, or a shard group "a,b;c,d" (repairer role)`)
+	fs.DurationVar(&cfg.Heartbeat, "heartbeat", 5*time.Second, "data provider heartbeat interval (0 disables heartbeats and the provider manager's liveness filter)")
+	strategy := fs.String("strategy", "round-robin", "placement strategy: round-robin|least-loaded|power-of-two")
+	redundancy := fs.String("redundancy", "replicate", `advertised redundancy mode: "replicate" or "rs(k,m)" (pmanager role; clients adopt it for new blobs)`)
+	fs.StringVar(&cfg.Checkpoint, "checkpoint", "", "version manager checkpoint file (loaded on start, saved periodically and on shutdown)")
+	fs.DurationVar(&cfg.CheckpointEvery, "checkpoint-interval", time.Minute, "periodic checkpoint interval")
+	fs.StringVar(&admin, "admin", "", "admin HTTP listen address serving /metrics, /healthz and /debug/pprof (empty disables)")
+	fs.IntVar(&cfg.TraceSample, "trace-sample", 0, "record spans for 1-in-N root operations (0 disables tracing, 1 traces everything)")
+	fs.IntVar(&cfg.TraceRing, "trace-ring", trace.DefaultRing, "span ring buffer capacity (spans kept per process)")
+	fs.DurationVar(&cfg.SlowThreshold, "slow-threshold", 0, "log the span tree of client operations slower than this (repairer role; 0 disables)")
+	fs.IntVar(&cfg.EventRing, "event-ring", 0, "cluster event journal ring capacity (0 = default, negative disables)")
+	fs.DurationVar(&cfg.ChaosDelay, "chaos-delay", 0, "gray-failure injection: hold every page serve this long (provider role; change live with blobctl chaos)")
+	fs.BoolVar(&cfg.ChaosStall, "chaos-stall", false, "gray-failure injection: stall page serves outright until healed via blobctl chaos (provider role)")
+	fs.DurationVar(&cfg.Poll, "poll", time.Second, "cluster poll interval (monitor role)")
+	watchVM := fs.String("watch-vm", "", `version-manager shards the monitor polls: replica addresses comma-separated within a shard, shards separated by ";" (monitor role)`)
+	watchEvs := fs.String("watch-events", "", "comma-separated extra addresses the monitor tails MEvents from, e.g. the repairer node (monitor role)")
+	if err = fs.Parse(args); err != nil {
+		return cfg, "", "", err
 	}
-	if err := vm.Checkpoint(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+
+	if *roles == "" {
+		return cfg, "", "", errors.New("at least one -roles value is required")
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	cfg.Roles = splitList(*roles)
+	if cfg.Advertise == "" {
+		cfg.Advertise = listen
 	}
-	return os.Rename(tmp, path)
+	cfg.VPeers = splitList(*vpeers)
+	cfg.WatchEvents = splitList(*watchEvs)
+	if cfg.Redundancy, err = erasure.ParseRedundancy(*redundancy); err != nil {
+		return cfg, "", "", fmt.Errorf("-redundancy: %w", err)
+	}
+	if cfg.Strategy, err = pmanager.ParseStrategy(*strategy); err != nil {
+		return cfg, "", "", fmt.Errorf("-strategy: %w", err)
+	}
+	if *vm != "" {
+		if cfg.VM, err = vmanager.ParseGroupAddrs(*vm); err != nil {
+			return cfg, "", "", fmt.Errorf("-vm: %w", err)
+		}
+	}
+	if *watchVM != "" {
+		if cfg.WatchVM, err = vmanager.ParseGroupAddrs(*watchVM); err != nil {
+			return cfg, "", "", fmt.Errorf("-watch-vm: %w", err)
+		}
+	}
+	return cfg, listen, admin, nil
+}
+
+// splitList splits a comma-separated flag value, dropping blank entries.
+func splitList(s string) []string {
+	var out []string
+	for _, e := range strings.Split(s, ",") {
+		if e = strings.TrimSpace(e); e != "" {
+			out = append(out, e)
+		}
+	}
+	return out
 }

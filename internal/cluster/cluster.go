@@ -5,15 +5,15 @@
 // each storage node hosts one data provider and one metadata provider and
 // the two managers run on dedicated nodes.
 //
-// The same service implementations run over real TCP through
-// cmd/blobnode; this package is the laboratory the tests, examples and
-// benchmark harness use.
+// Every role instance is an internal/node node started on its own
+// netsim host and port, wired exactly as cmd/blobnode wires it over
+// TCP; this package only lays out the topology and adds the fault hooks
+// the tests, examples and benchmark harness use.
 package cluster
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -24,18 +24,15 @@ import (
 
 	"blob/internal/core"
 	"blob/internal/dht"
-	"blob/internal/diskstore"
 	"blob/internal/erasure"
 	"blob/internal/events"
 	"blob/internal/monitor"
-	"blob/internal/mstore"
 	"blob/internal/netsim"
+	"blob/internal/node"
 	"blob/internal/pmanager"
 	"blob/internal/provider"
-	"blob/internal/repair"
 	"blob/internal/rpc"
 	"blob/internal/trace"
-	"blob/internal/vmanager"
 )
 
 // Config describes a deployment.
@@ -209,18 +206,12 @@ type Cluster struct {
 	cfg Config
 	fab *netsim.Net
 
-	// VM is the single version manager (nil when the deployment runs a
-	// vmanager group — see VMReplicas).
-	VM  *vmanager.Manager
-	PM  *pmanager.Manager
-	Dir *dht.Directory
+	// PM is the provider manager of the "pm" node.
+	PM *pmanager.Manager
 
-	// VMReplicas[s][r] is replica r of vmanager shard s (group mode
-	// only); VMShardAddrs mirrors it with the replica RPC addresses and
-	// VMServers with the per-replica RPC servers (for kill injection).
-	VMReplicas   [][]*vmanager.Replica
+	// VMShardAddrs[s][r] is the RPC address of replica r of vmanager
+	// shard s (group mode only).
 	VMShardAddrs [][]string
-	VMServers    [][]*rpc.Server
 
 	// DataStores holds each data provider's storage backend: in-RAM
 	// provider.Store by default, or a disk-backed (optionally cached)
@@ -239,57 +230,41 @@ type Cluster struct {
 	VMAddr  string
 	PMAddr  string
 	DirAddr string
-	// RepairAddr serves the repair agent's event journal over MEvents
-	// (set when Config.RepairInterval > 0 and journals are enabled).
+	// RepairAddr is the repair node, which serves the repair agent's
+	// event journal over MEvents (set when Config.RepairInterval > 0).
 	RepairAddr string
 
 	// Mon is the embedded cluster monitor (Config.Monitor).
 	Mon *monitor.Monitor
 
-	dataHosts []string
-	servers   []*rpc.Server
-	pools     []*rpc.Pool
-	hbStop    chan struct{}
 	clientSeq atomic.Int64
-	// repairNow wakes the repair loop ahead of its ticker when the
-	// provider manager detects a heartbeat death (capacity 1: coalesces
-	// a burst of deaths into one immediate pass).
-	repairNow chan struct{}
-	// hbProvStop lets tests kill one provider's heartbeat loop
-	// (StopProviderHeartbeat) to simulate a silent node death.
-	hbProvStop []chan struct{}
 
-	// svcMu guards the Data* slice elements against RestartDataProvider
-	// racing the heartbeat loops and the aggregate accessors. Tests that
+	// mu guards the node tables, the Data* slice elements (which
+	// RestartDataProvider replaces), tracers and journals. Tests that
 	// index the exported slices directly must not do so concurrently
 	// with RestartDataProvider.
-	svcMu sync.RWMutex
-
-	// traceMu guards tracers: one per node role and per client, created
-	// lazily when Config.TraceSampleEvery is set.
-	traceMu sync.Mutex
-	tracers []*trace.Tracer
-
-	// journalMu guards journals: one event journal per simulated node
-	// (restart creates a fresh one, like a real process restart).
-	journalMu     sync.Mutex
-	journals      []*events.Journal
-	repairJournal *events.Journal
-	// hbPool is the heartbeat loops' shared client pool, retained so
-	// ResumeProviderHeartbeat can relaunch a stopped loop.
-	hbPool *rpc.Pool
+	mu sync.RWMutex
+	// nodes is every node incarnation ever started, for Shutdown.
+	nodes      []*node.Node
+	dataNodes  []*node.Node
+	vmNodes    [][]*node.Node // group mode; nil after KillVMReplica
+	repairNode *node.Node
+	// tracers and journals outlive restarted incarnations: their spans
+	// and events happened.
+	tracers  []*trace.Tracer
+	journals []*events.Journal
 }
 
 // newTracer creates (and retains, for TraceSpans) a span tracer for the
-// named node, or returns nil when tracing is disabled.
-func (c *Cluster) newTracer(node string) *trace.Tracer {
+// named client, or returns nil when tracing is disabled.
+func (c *Cluster) newTracer(name string) *trace.Tracer {
 	if c.cfg.TraceSampleEvery <= 0 {
 		return nil
 	}
-	t := trace.New(node, trace.DefaultRing, c.cfg.TraceSampleEvery)
-	c.traceMu.Lock()
+	t := trace.New(name, trace.DefaultRing, c.cfg.TraceSampleEvery)
+	c.mu.Lock()
 	c.tracers = append(c.tracers, t)
-	c.traceMu.Unlock()
+	c.mu.Unlock()
 	return t
 }
 
@@ -297,9 +272,9 @@ func (c *Cluster) newTracer(node string) *trace.Tracer {
 // and client ring buffers — the in-process equivalent of blobctl trace
 // querying MSpans on each node.
 func (c *Cluster) TraceSpans(traceID uint64) []trace.Span {
-	c.traceMu.Lock()
+	c.mu.RLock()
 	tracers := append([]*trace.Tracer(nil), c.tracers...)
-	c.traceMu.Unlock()
+	c.mu.RUnlock()
 	var spans []trace.Span
 	for _, t := range tracers {
 		spans = append(spans, t.SpansFor(traceID)...)
@@ -308,27 +283,27 @@ func (c *Cluster) TraceSpans(traceID uint64) []trace.Span {
 }
 
 // newJournal creates (and retains, for Events) the event journal of the
-// named simulated node, or nil when Config.EventRing is negative.
-func (c *Cluster) newJournal(node string) *events.Journal {
+// named client, or nil when Config.EventRing is negative.
+func (c *Cluster) newJournal(name string) *events.Journal {
 	if c.cfg.EventRing < 0 {
 		return nil
 	}
-	j := events.NewJournal(node, c.cfg.EventRing)
-	c.journalMu.Lock()
+	j := events.NewJournal(name, c.cfg.EventRing)
+	c.mu.Lock()
 	c.journals = append(c.journals, j)
-	c.journalMu.Unlock()
+	c.mu.Unlock()
 	return j
 }
 
-// Events merges every live node journal, oldest first by timestamp —
-// the in-process equivalent of the monitor tailing MEvents cluster-wide.
-// Journals of restarted nodes' dead incarnations are included (their
-// events happened), which is exactly what a drill asserting event order
-// wants.
+// Events merges every node and client journal, oldest first by
+// timestamp — the in-process equivalent of the monitor tailing MEvents
+// cluster-wide. Journals of restarted nodes' dead incarnations are
+// included (their events happened), which is exactly what a drill
+// asserting event order wants.
 func (c *Cluster) Events() []events.Event {
-	c.journalMu.Lock()
+	c.mu.RLock()
 	journals := append([]*events.Journal(nil), c.journals...)
-	c.journalMu.Unlock()
+	c.mu.RUnlock()
 	var evs []events.Event
 	for _, j := range journals {
 		evs = append(evs, j.Events()...)
@@ -337,166 +312,83 @@ func (c *Cluster) Events() []events.Event {
 	return evs
 }
 
-// dataService returns the current RPC service of data provider i, which
-// RestartDataProvider may have replaced since launch.
-func (c *Cluster) dataService(i int) *provider.Service {
-	c.svcMu.RLock()
-	defer c.svcMu.RUnlock()
-	return c.DataServices[i]
-}
-
-// dataHostName names the simulated host of data provider i.
-func (c *Cluster) dataHostName(i int) string {
-	if c.cfg.CoLocate || (c.cfg.DataProviders == c.cfg.MetaProviders) {
-		return fmt.Sprintf("node%d", i)
-	}
-	return fmt.Sprintf("data%d", i)
-}
-
-// newDataService hosts a provider service over st with repair armed:
-// the service gets a connection pool dialing from its own host (the
-// vantage MPullPages pulls peers from) and the configured pull throttle.
-func (c *Cluster) newDataService(i int, st provider.PageStore, j *events.Journal) *provider.Service {
-	svc := provider.NewService(st)
-	pool := rpc.NewPool(hostDialer{c.fab.Host(c.dataHostName(i))})
-	pool.SetJournal(j)
-	c.svcMu.Lock()
-	c.pools = append(c.pools, pool)
-	c.svcMu.Unlock()
-	svc.EnableRepair(pool, c.cfg.RepairRateBytes)
-	return svc
-}
-
-// newDataStore builds data provider i's storage backend from the
-// deployment config: RAM-only by default, or a disk-backed segment log
-// (with an optional write-through RAM cache) under Config.DataDir.
-func (c *Cluster) newDataStore(i int, j *events.Journal) (provider.PageStore, error) {
-	if c.cfg.DataDir == "" {
-		return provider.NewStore(c.cfg.ProviderCapacity), nil
-	}
-	ds, err := provider.NewDiskStore(diskstore.Options{
-		Dir:              filepath.Join(c.cfg.DataDir, fmt.Sprintf("provider-%d", i)),
-		SegmentSize:      c.cfg.SegmentSize,
-		CompactEvery:     c.cfg.CompactEvery,
-		CompactRateBytes: c.cfg.CompactRateBytes,
-		Journal:          j,
-	}, c.cfg.ProviderCapacity)
-	if err != nil {
-		return nil, err
-	}
-	if c.cfg.DiskCacheBytes > 0 {
-		return provider.NewCachedStore(ds, c.cfg.DiskCacheBytes), nil
-	}
-	return ds, nil
-}
-
-// vmRepairStore builds the metadata client a version manager's repair
-// path writes no-op patches through, dialing from the given host. Nil
-// (and no error) when dead-writer repair is disabled.
-func (c *Cluster) vmRepairStore(host *netsim.Host) (vmanager.NodeStore, error) {
-	if c.cfg.RepairTimeout <= 0 {
-		return nil, nil
-	}
-	pool := rpc.NewPool(hostDialer{host})
-	c.svcMu.Lock()
-	c.pools = append(c.pools, pool)
-	c.svcMu.Unlock()
-	kv, err := dht.NewDirectoryClient(context.Background(), pool, c.DirAddr, c.cfg.MetaReplicas)
-	if err != nil {
-		return nil, err
-	}
-	return mstore.New(kv, 0), nil
-}
-
-// launchVMGroup boots the sharded, replicated version plane: VShards x
-// VReplicas Replica processes, each on its own simulated host
-// "vm-s<shard>r<replica>". Peer addresses are deterministic functions of
-// the shard layout, so every replica knows its shard-mates up front and
-// a restarted replica comes back at the same address
-// (docs/vmanager-group.md).
-func (c *Cluster) launchVMGroup() error {
-	c.VMReplicas = make([][]*vmanager.Replica, c.cfg.VShards)
-	c.VMShardAddrs = make([][]string, c.cfg.VShards)
-	c.VMServers = make([][]*rpc.Server, c.cfg.VShards)
-	for s := 0; s < c.cfg.VShards; s++ {
-		peers := make([]string, c.cfg.VReplicas)
-		for j := range peers {
-			peers[j] = fmt.Sprintf("vm-s%dr%d:rpc", s, j)
-		}
-		c.VMShardAddrs[s] = peers
-		c.VMReplicas[s] = make([]*vmanager.Replica, c.cfg.VReplicas)
-		c.VMServers[s] = make([]*rpc.Server, c.cfg.VReplicas)
-		for j := 0; j < c.cfg.VReplicas; j++ {
-			if err := c.startVMReplica(s, j, false); err != nil {
-				return err
-			}
-		}
-	}
-	// Legacy single-address fields point at shard 0 replica 0 so
-	// address-only consumers (logs, health checks) have something sane.
-	c.VMAddr = c.VMShardAddrs[0][0]
-	return nil
-}
-
-// startVMReplica builds and serves replica j of vmanager shard s on its
-// dedicated host. Used at launch (rejoin=false) and by RestartVMReplica
-// (rejoin=true: the replica boots follower even at index 0).
-func (c *Cluster) startVMReplica(s, j int, rejoin bool) error {
-	host := c.fab.Host(fmt.Sprintf("vm-s%dr%d", s, j))
-	repairStore, err := c.vmRepairStore(host)
-	if err != nil {
-		return err
-	}
-	pool := rpc.NewPool(hostDialer{host})
-	c.svcMu.Lock()
-	c.pools = append(c.pools, pool)
-	c.svcMu.Unlock()
-	// A restarted replica gets a fresh journal, like a real process
-	// restart; MEvents pollers detect the sequence reset and re-tail.
-	jn := c.newJournal(host.Name())
-	pool.SetJournal(jn)
-	rep := vmanager.NewReplica(vmanager.ReplicaConfig{
-		Shard:           s,
-		Shards:          c.cfg.VShards,
-		Index:           j,
-		Peers:           c.VMShardAddrs[s],
-		Pool:            pool,
-		Heartbeat:       c.cfg.VMHeartbeat,
-		ElectionTimeout: c.cfg.VMElectionTimeout,
-		AppendDelay:     c.cfg.VMAppendDelay,
-		MaxLogRecords:   c.cfg.VMMaxLogRecords,
-		Rejoin:          rejoin,
-		Journal:         jn,
-		Manager: vmanager.Config{
-			RepairTimeout: c.cfg.RepairTimeout,
-			Store:         repairStore,
-		},
-	})
-	srv := rpc.NewServer()
-	if t := c.newTracer(host.Name() + ":rpc"); t != nil {
-		srv.SetTracer(t)
-	}
-	srv.SetJournal(jn)
-	rep.RegisterHandlers(srv)
-	l, err := host.Listen("rpc")
-	if err != nil {
-		rep.Close()
-		return err
-	}
-	srv.Start(l)
-	c.svcMu.Lock()
-	c.servers = append(c.servers, srv)
-	c.VMReplicas[s][j] = rep
-	c.VMServers[s][j] = srv
-	c.svcMu.Unlock()
-	return nil
-}
-
 // hostDialer adapts a netsim host to rpc.Network.
 type hostDialer struct{ h *netsim.Host }
 
 // Dial implements rpc.Network.
 func (d hostDialer) Dial(addr string) (net.Conn, error) { return d.h.Dial(addr) }
+
+// nodeConfig is the deployment-wide node configuration for the given
+// roles; callers add the per-instance fields.
+func (c *Cluster) nodeConfig(roles ...string) node.Config {
+	cfg := &c.cfg
+	return node.Config{
+		Roles:           roles,
+		PM:              c.PMAddr,
+		Strategy:        cfg.Strategy,
+		Redundancy:      cfg.Redundancy,
+		Replicas:        cfg.DataReplicas,
+		Heartbeat:       cfg.HeartbeatInterval,
+		RepairTimeout:   cfg.RepairTimeout,
+		MetaReplicas:    cfg.MetaReplicas,
+		VShards:         cfg.VShards,
+		VMHeartbeat:     cfg.VMHeartbeat,
+		VMElection:      cfg.VMElectionTimeout,
+		VMAppendDelay:   cfg.VMAppendDelay,
+		VMMaxLogRecords: cfg.VMMaxLogRecords,
+		Capacity:        cfg.ProviderCapacity,
+		SegmentSize:     cfg.SegmentSize,
+		DiskCache:       cfg.DiskCacheBytes,
+		CompactEvery:    cfg.CompactEvery,
+		CompactRate:     cfg.CompactRateBytes,
+		RepairRate:      cfg.RepairRateBytes,
+		MetaPutDelay:    cfg.MetaPutDelay,
+		RepairInterval:  cfg.RepairInterval,
+		Breakers:        cfg.Breakers,
+		SlowThreshold:   cfg.SlowThreshold,
+		Poll:            cfg.MonitorInterval,
+		TraceSample:     cfg.TraceSampleEvery,
+		EventRing:       cfg.EventRing,
+		OnProviderDeath: c.wakeRepair,
+	}
+}
+
+// start boots a node serving at host:port and retains it for Shutdown,
+// Events and TraceSpans.
+func (c *Cluster) start(host, port string, nc node.Config) (*node.Node, error) {
+	h := c.fab.Host(host)
+	l, err := h.Listen(port)
+	if err != nil {
+		return nil, err
+	}
+	nc.Listener, nc.Network, nc.Advertise = l, hostDialer{h}, host+":"+port
+	n, err := node.Start(context.Background(), nc)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.nodes = append(c.nodes, n)
+	c.journals = append(c.journals, n.Journal())
+	if t := n.Tracer(); t != nil {
+		c.tracers = append(c.tracers, t)
+	}
+	return n, nil
+}
+
+// hostName names the simulated host of storage node i: "node<i>" when
+// data and metadata providers co-locate, else "<kind><i>".
+func (c *Cluster) hostName(kind string, i int) string {
+	if c.cfg.CoLocate || c.cfg.DataProviders == c.cfg.MetaProviders {
+		return fmt.Sprintf("node%d", i)
+	}
+	return fmt.Sprintf("%s%d", kind, i)
+}
+
+// providerDir is data provider i's directory under Config.DataDir.
+func (c *Cluster) providerDir(i int) string {
+	return filepath.Join(c.cfg.DataDir, fmt.Sprintf("provider-%d", i))
+}
 
 // Launch starts a deployment.
 func Launch(cfg Config) (*Cluster, error) {
@@ -509,311 +401,175 @@ func Launch(cfg Config) (*Cluster, error) {
 			cfg.Redundancy, cfg.Redundancy.Shards(), cfg.DataProviders)
 	}
 	c := &Cluster{
-		cfg:       cfg,
-		fab:       netsim.New(cfg.Net),
-		hbStop:    make(chan struct{}),
-		repairNow: make(chan struct{}, 1),
+		cfg:          cfg,
+		fab:          netsim.New(cfg.Net),
+		PMAddr:       "pm:rpc",
+		DirAddr:      "pm:rpc",
+		dataNodes:    make([]*node.Node, cfg.DataProviders),
+		DataStores:   make([]provider.PageStore, cfg.DataProviders),
+		DataServices: make([]*provider.Service, cfg.DataProviders),
+		DataServers:  make([]*rpc.Server, cfg.DataProviders),
 	}
-
-	var lastServer *rpc.Server
-	serve := func(host *netsim.Host, port string, register func(*rpc.Server)) (string, error) {
-		srv := rpc.NewServer()
-		if t := c.newTracer(host.Name() + ":" + port); t != nil {
-			srv.SetTracer(t)
-		}
-		register(srv)
-		l, err := host.Listen(port)
-		if err != nil {
-			return "", err
-		}
-		srv.Start(l)
-		c.servers = append(c.servers, srv)
-		lastServer = srv
-		return host.Name() + ":" + port, nil
-	}
-
-	// Provider manager + metadata directory share the "pm" node.
-	var hbTimeout time.Duration
-	if cfg.HeartbeatInterval > 0 {
-		hbTimeout = 4 * cfg.HeartbeatInterval
-	}
-	jPM := c.newJournal("pm")
-	c.PM = pmanager.New(pmanager.Config{
-		Strategy:         cfg.Strategy,
-		HeartbeatTimeout: hbTimeout,
-		Replicas:         cfg.DataReplicas,
-		Redundancy:       cfg.Redundancy,
-		Journal:          jPM,
-	})
-	c.Dir = dht.NewDirectory()
-	pmHost := c.fab.Host("pm")
-	addr, err := serve(pmHost, "rpc", func(s *rpc.Server) {
-		c.PM.RegisterHandlers(s)
-		c.Dir.RegisterHandlers(s)
-		s.SetJournal(jPM)
-	})
-	if err != nil {
+	if err := c.launch(); err != nil {
 		c.Shutdown()
 		return nil, err
-	}
-	c.PMAddr, c.DirAddr = addr, addr
-
-	// Storage nodes.
-	dataHost := c.dataHostName
-	metaHost := func(i int) string {
-		if cfg.CoLocate || (cfg.DataProviders == cfg.MetaProviders) {
-			return fmt.Sprintf("node%d", i)
-		}
-		return fmt.Sprintf("meta%d", i)
-	}
-	for i := 0; i < cfg.DataProviders; i++ {
-		j := c.newJournal(dataHost(i))
-		st, err := c.newDataStore(i, j)
-		if err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-		svc := c.newDataService(i, st, j)
-		c.DataStores = append(c.DataStores, st)
-		c.DataServices = append(c.DataServices, svc)
-		c.dataHosts = append(c.dataHosts, dataHost(i))
-		addr, err := serve(c.fab.Host(dataHost(i)), "data", func(s *rpc.Server) {
-			svc.RegisterHandlers(s)
-			s.SetJournal(j)
-		})
-		if err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-		c.PM.Register(addr, cfg.ProviderCapacity)
-		c.DataServers = append(c.DataServers, lastServer)
-	}
-	for i := 0; i < cfg.MetaProviders; i++ {
-		st := dht.NewStore()
-		st.PutDelay = cfg.MetaPutDelay
-		c.MetaStores = append(c.MetaStores, st)
-		addr, err := serve(c.fab.Host(metaHost(i)), "meta", st.RegisterHandlers)
-		if err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-		c.Dir.Register(addr)
-		c.MetaServers = append(c.MetaServers, lastServer)
-	}
-
-	// Version plane. Legacy mode: one Manager on the "vm" node. Group
-	// mode: VShards x VReplicas Replica processes on their own nodes,
-	// each with its own repair-path metadata client.
-	if !cfg.vmGrouped() {
-		vmHost := c.fab.Host("vm")
-		repairStore, err := c.vmRepairStore(vmHost)
-		if err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-		c.VM = vmanager.New(vmanager.Config{
-			RepairTimeout: cfg.RepairTimeout,
-			Store:         repairStore,
-		})
-		c.VMAddr, err = serve(vmHost, "rpc", c.VM.RegisterHandlers)
-		if err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-	} else {
-		if err := c.launchVMGroup(); err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-	}
-
-	if cfg.HeartbeatInterval > 0 {
-		c.startHeartbeats()
-	}
-	if cfg.RepairInterval > 0 {
-		// The repair agent is a client-side process with no RPC service
-		// of its own; give its journal a dedicated node so the monitor
-		// can tail sweep events like any other node's.
-		c.repairJournal = c.newJournal("repair")
-		if c.repairJournal != nil {
-			addr, err := serve(c.fab.Host("repair"), "rpc", func(s *rpc.Server) {
-				s.SetJournal(c.repairJournal)
-			})
-			if err != nil {
-				c.Shutdown()
-				return nil, err
-			}
-			c.RepairAddr = addr
-		}
-		go c.repairLoop()
-		if cfg.HeartbeatInterval > 0 {
-			// Heartbeat-death detection triggers an immediate repair
-			// pass instead of waiting out the RepairInterval timer.
-			go c.PM.DeathWatch(c.hbStop, func(uint32) {
-				select {
-				case c.repairNow <- struct{}{}:
-				default:
-				}
-			})
-		}
-	}
-	if cfg.Monitor {
-		mpool := rpc.NewPool(hostDialer{c.fab.Host("monitor")})
-		c.pools = append(c.pools, mpool)
-		var eventNodes []string
-		if c.RepairAddr != "" {
-			eventNodes = append(eventNodes, c.RepairAddr)
-		}
-		c.Mon = monitor.New(monitor.Config{
-			Pool:       mpool,
-			PMAddr:     c.PMAddr,
-			VMShards:   c.VMShardAddrs,
-			EventNodes: eventNodes,
-			Interval:   cfg.MonitorInterval,
-		})
-		c.Mon.Start()
 	}
 	return c, nil
 }
 
-// repairLoop periodically runs the replica repair agent over every blob
-// the version manager knows, so redundancy degraded by provider crashes
-// or disk loss converges back to full without client involvement.
-func (c *Cluster) repairLoop() {
-	t := time.NewTicker(c.cfg.RepairInterval)
-	defer t.Stop()
-	var client *core.Client
-	var agent *repair.Repairer
-	defer func() {
-		if client != nil {
-			client.Close()
-		}
-	}()
-	timeout := 4 * c.cfg.RepairInterval
-	if timeout < 30*time.Second {
-		timeout = 30 * time.Second
+func (c *Cluster) launch() error {
+	cfg := &c.cfg
+	pm, err := c.start("pm", "rpc", c.nodeConfig(node.PManager))
+	if err != nil {
+		return err
 	}
-	for {
-		select {
-		case <-c.hbStop:
-			return
-		case <-t.C:
-		case <-c.repairNow:
-			// Provider-manager death detection: repair immediately
-			// rather than letting the degradation window run out the
-			// ticker (a second loss inside that window is the data-loss
-			// scenario repair exists to shrink).
+	c.PM = pm.PM()
+	for i := range cfg.DataProviders {
+		if _, err := c.startDataProvider(i); err != nil {
+			return err
 		}
-		if agent == nil {
-			cl, err := core.NewClient(context.Background(), c.ClientOptions("repair-agent"))
-			if err != nil {
-				continue // managers not reachable yet; retry next tick
+	}
+	for i := range cfg.MetaProviders {
+		n, err := c.start(c.hostName("meta", i), "meta", c.nodeConfig(node.Metadata))
+		if err != nil {
+			return err
+		}
+		c.MetaStores = append(c.MetaStores, n.MetaStore())
+		c.MetaServers = append(c.MetaServers, n.Server())
+	}
+
+	// Version plane: one manager on the "vm" node, or VShards x
+	// VReplicas replicas on hosts "vm-s<shard>r<replica>". Peer addresses
+	// are deterministic, so every replica knows its shard-mates up front
+	// and a restarted replica comes back at the same address
+	// (docs/vmanager-group.md).
+	vm := [][]string{{"vm:rpc"}}
+	if !cfg.vmGrouped() {
+		if _, err := c.start("vm", "rpc", c.nodeConfig(node.VManager)); err != nil {
+			return err
+		}
+	} else {
+		c.VMShardAddrs = make([][]string, cfg.VShards)
+		c.vmNodes = make([][]*node.Node, cfg.VShards)
+		for s := range c.VMShardAddrs {
+			c.VMShardAddrs[s] = make([]string, cfg.VReplicas)
+			for j := range c.VMShardAddrs[s] {
+				c.VMShardAddrs[s][j] = fmt.Sprintf("vm-s%dr%d:rpc", s, j)
 			}
-			client, agent = cl, repair.New(cl)
-			agent.Journal = c.repairJournal
+			c.vmNodes[s] = make([]*node.Node, cfg.VReplicas)
+			for j := range c.vmNodes[s] {
+				if err := c.startVMReplica(s, j, false); err != nil {
+					return err
+				}
+			}
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		// Enumerate blobs through the client's version-plane routing so
-		// the loop works in both single-manager and group mode.
-		if blobs, err := client.VersionManager().Blobs(ctx); err == nil {
-			_, _ = agent.RepairAll(ctx, blobs)
+		vm = c.VMShardAddrs
+	}
+	// Address-only consumers (logs, health checks) of a group get shard
+	// 0 replica 0.
+	c.VMAddr = vm[0][0]
+
+	var eventNodes []string
+	if cfg.RepairInterval > 0 {
+		nc := c.nodeConfig(node.Repairer)
+		nc.VM = vm
+		n, err := c.start("repair", "rpc", nc)
+		if err != nil {
+			return err
 		}
-		cancel()
+		c.mu.Lock()
+		c.repairNode = n
+		c.mu.Unlock()
+		c.RepairAddr = "repair:rpc"
+		eventNodes = append(eventNodes, c.RepairAddr)
+	}
+	if cfg.Monitor {
+		nc := c.nodeConfig(node.Monitor)
+		nc.WatchVM, nc.WatchEvents = c.VMShardAddrs, eventNodes
+		n, err := c.start("monitor", "rpc", nc)
+		if err != nil {
+			return err
+		}
+		c.Mon = n.Monitor()
+	}
+	return nil
+}
+
+// startDataProvider boots data provider i at "<host>:data" and installs
+// it in the Data* tables (at launch and on restart).
+func (c *Cluster) startDataProvider(i int) (*node.Node, error) {
+	nc := c.nodeConfig(node.Provider)
+	if c.cfg.DataDir != "" {
+		nc.DataDir = c.providerDir(i)
+	}
+	n, err := c.start(c.DataHostName(i), "data", nc)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dataNodes[i] = n
+	c.DataStores[i], c.DataServices[i], c.DataServers[i] = n.Service().Store(), n.Service(), n.Server()
+	return n, nil
+}
+
+// startVMReplica boots replica j of vmanager shard s on its own host,
+// at launch (rejoin=false) and by RestartVMReplica (rejoin=true: the
+// replica boots follower even at index 0).
+func (c *Cluster) startVMReplica(s, j int, rejoin bool) error {
+	nc := c.nodeConfig(node.VManager)
+	nc.VPeers, nc.VShard, nc.VReplica, nc.VRejoin = c.VMShardAddrs[s], s, j, rejoin
+	n, err := c.start(fmt.Sprintf("vm-s%dr%d", s, j), "rpc", nc)
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	c.vmNodes[s][j] = n
+	c.mu.Unlock()
+	return nil
+}
+
+// wakeRepair is the pm node's OnProviderDeath hook: heartbeat-death
+// detection triggers an immediate repair sweep instead of waiting out
+// the RepairInterval timer.
+func (c *Cluster) wakeRepair(uint32) {
+	c.mu.RLock()
+	n := c.repairNode
+	c.mu.RUnlock()
+	if n != nil {
+		n.RepairNow()
 	}
 }
 
-// StopProviderHeartbeat kills data provider i's heartbeat loop — the
+// dataNode returns data provider i's current incarnation, or nil.
+func (c *Cluster) dataNode(i int) *node.Node {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if i < 0 || i >= len(c.dataNodes) {
+		return nil
+	}
+	return c.dataNodes[i]
+}
+
+// StopProviderHeartbeat silences data provider i's heartbeats — the
 // fault-injection hook for "the node silently died": the provider
-// manager stops hearing from it, excludes it from placement, and (when
-// a repair loop is armed) DeathWatch triggers an immediate repair pass.
-// A no-op without Config.HeartbeatInterval; ResumeProviderHeartbeat
-// brings the loop back.
+// manager stops hearing from it, excludes it from placement, journals
+// its death, and (when a repair node runs) triggers an immediate repair
+// sweep. The provider keeps serving, and stays silent across
+// RestartDataProvider until ResumeProviderHeartbeat. A no-op without
+// Config.HeartbeatInterval.
 func (c *Cluster) StopProviderHeartbeat(i int) {
-	c.svcMu.RLock()
-	defer c.svcMu.RUnlock()
-	if i >= 0 && i < len(c.hbProvStop) {
-		select {
-		case <-c.hbProvStop[i]:
-		default:
-			close(c.hbProvStop[i])
-		}
+	if n := c.dataNode(i); n != nil {
+		n.SetHeartbeatPaused(true)
 	}
 }
 
-// ResumeProviderHeartbeat relaunches data provider i's heartbeat loop
-// after StopProviderHeartbeat — the "node came back" half of a silent
-// death drill. The manager re-admits the provider on its next beat
-// (same id, bumped epoch). A no-op if the loop is still running.
+// ResumeProviderHeartbeat restarts data provider i's heartbeats after
+// StopProviderHeartbeat — the "node came back" half of a silent death
+// drill. The manager re-admits the provider on its next beat.
 func (c *Cluster) ResumeProviderHeartbeat(i int) {
-	c.svcMu.Lock()
-	defer c.svcMu.Unlock()
-	if i < 0 || i >= len(c.hbProvStop) {
-		return
-	}
-	select {
-	case <-c.hbProvStop[i]:
-		// Closed: the loop exited. Swap in a fresh stop channel and
-		// restart the loop against it.
-		stop := make(chan struct{})
-		c.hbProvStop[i] = stop
-		go c.providerHeartbeatLoop(i, stop)
-	default:
-		// Still running; nothing to resume.
-	}
-}
-
-// startHeartbeats runs one reporting loop per data provider.
-func (c *Cluster) startHeartbeats() {
-	c.hbPool = rpc.NewPool(hostDialer{c.fab.Host("hb")})
-	c.pools = append(c.pools, c.hbPool)
-	for i := range c.DataServices {
-		stop := make(chan struct{})
-		c.hbProvStop = append(c.hbProvStop, stop)
-		go c.providerHeartbeatLoop(i, stop)
-	}
-}
-
-// providerHeartbeatLoop reports data provider i's load to the provider
-// manager every HeartbeatInterval until stop (or cluster shutdown).
-func (c *Cluster) providerHeartbeatLoop(i int, stop chan struct{}) {
-	id := uint32(i + 1) // registration order matches IDs
-	t := time.NewTicker(c.cfg.HeartbeatInterval)
-	defer t.Stop()
-	// Digest piggyback state: the bloom digest is recomputed
-	// only when the store's write/delete counters move, and its
-	// bytes ride a heartbeat only while the manager's held hash
-	// disagrees — steady state costs 8 extra bytes per beat.
-	var digHash uint64
-	var digest []byte
-	var held uint64
-	lastPuts, lastPages := int64(-1), int64(-1)
-	for {
-		select {
-		case <-c.hbStop:
-			return
-		case <-stop:
-			return
-		case <-t.C:
-			// Re-resolve each tick: RestartDataProvider swaps
-			// the service, and heartbeats must report the live
-			// store's load, not the dead one's.
-			sv := c.dataService(i)
-			snap := sv.Snapshot()
-			if snap.Puts != lastPuts || snap.PageCount != lastPages {
-				digHash, digest, _ = sv.DigestBytes()
-				lastPuts, lastPages = snap.Puts, snap.PageCount
-			}
-			var payload []byte
-			if digHash != 0 && digHash != held {
-				payload = digest
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			if h, err := pmanager.SendHeartbeatDigest(ctx, c.hbPool, c.PMAddr, id,
-				snap.BytesUsed, snap.ActiveOps, digHash, payload); err == nil {
-				held = h
-			}
-			cancel()
-		}
+	if n := c.dataNode(i); n != nil {
+		n.SetHeartbeatPaused(false)
 	}
 }
 
@@ -852,9 +608,9 @@ func (c *Cluster) NewClientAt(ctx context.Context, host string) (*core.Client, e
 
 // TotalDataPages sums the page counts across data providers.
 func (c *Cluster) TotalDataPages() int64 {
-	c.svcMu.RLock()
+	c.mu.RLock()
 	stores := append([]provider.PageStore(nil), c.DataStores...)
-	c.svcMu.RUnlock()
+	c.mu.RUnlock()
 	var n int64
 	for _, st := range stores {
 		n += st.Snapshot().PageCount
@@ -872,12 +628,12 @@ func (c *Cluster) TotalMetaNodes() int {
 }
 
 // RestartDataProvider simulates a crash-and-relaunch of data provider i:
-// its RPC server stops, its store closes (for a disk-backed provider
-// this is where durability matters — a RAM provider comes back empty),
-// and a fresh store is opened over the same data directory and served at
-// the same address, so placements recorded in the metadata remain valid.
-// The fresh service starts with zeroed repair counters: post-restart
-// stats report only the new incarnation's repair work.
+// its node closes (for a disk-backed provider this is where durability
+// matters — a RAM provider comes back empty), and a fresh node opens the
+// same data directory and serves it at the same address, so placements
+// recorded in the metadata remain valid. The fresh service starts with
+// zeroed repair counters: post-restart stats report only the new
+// incarnation's repair work.
 func (c *Cluster) RestartDataProvider(i int) error {
 	return c.restartDataProvider(i, false)
 }
@@ -892,91 +648,31 @@ func (c *Cluster) WipeDataProvider(i int) error {
 }
 
 func (c *Cluster) restartDataProvider(i int, wipe bool) error {
-	if i < 0 || i >= len(c.DataStores) {
+	old := c.dataNode(i)
+	if old == nil {
 		return fmt.Errorf("cluster: no data provider %d", i)
 	}
-	c.svcMu.RLock()
-	oldSrv, oldStore := c.DataServers[i], c.DataStores[i]
-	c.svcMu.RUnlock()
-	oldSrv.Close()
-	if cl, ok := oldStore.(io.Closer); ok {
-		if err := cl.Close(); err != nil {
-			return fmt.Errorf("cluster: close provider %d store: %w", i, err)
-		}
-	}
+	old.Close()
 	if wipe && c.cfg.DataDir != "" {
-		dir := filepath.Join(c.cfg.DataDir, fmt.Sprintf("provider-%d", i))
-		if err := os.RemoveAll(dir); err != nil {
+		if err := os.RemoveAll(c.providerDir(i)); err != nil {
 			return fmt.Errorf("cluster: wipe provider %d data dir: %w", i, err)
 		}
 	}
-	// The new incarnation gets a fresh journal, like a real process
-	// restart; MEvents pollers detect the sequence reset and re-tail.
-	jn := c.newJournal(c.dataHosts[i])
-	st, err := c.newDataStore(i, jn)
+	n, err := c.startDataProvider(i)
 	if err != nil {
-		return fmt.Errorf("cluster: reopen provider %d store: %w", i, err)
+		return fmt.Errorf("cluster: restart provider %d: %w", i, err)
 	}
-	svc := c.newDataService(i, st, jn)
-	srv := rpc.NewServer()
-	if t := c.newTracer(c.dataHosts[i] + ":data"); t != nil {
-		srv.SetTracer(t)
-	}
-	srv.SetJournal(jn)
-	svc.RegisterHandlers(srv)
-	l, err := c.fab.Host(c.dataHosts[i]).Listen("data")
-	if err != nil {
-		return fmt.Errorf("cluster: relisten provider %d: %w", i, err)
-	}
-	srv.Start(l)
-	c.svcMu.Lock()
-	c.DataStores[i] = st
-	c.DataServices[i] = svc
-	c.DataServers[i] = srv
-	c.servers = append(c.servers, srv)
-	c.svcMu.Unlock()
+	n.SetHeartbeatPaused(old.HeartbeatPaused())
 	return nil
 }
 
-// Shutdown stops every service and the fabric, closing any persistent
-// data stores.
+// Shutdown closes every node, newest first, then the fabric.
 func (c *Cluster) Shutdown() {
-	if c.Mon != nil {
-		c.Mon.Close()
-	}
-	select {
-	case <-c.hbStop:
-	default:
-		close(c.hbStop)
-	}
-	if c.VM != nil {
-		c.VM.Close()
-	}
-	c.svcMu.RLock()
-	replicas := append([][]*vmanager.Replica(nil), c.VMReplicas...)
-	c.svcMu.RUnlock()
-	for _, shard := range replicas {
-		for _, rep := range shard {
-			if rep != nil {
-				rep.Close()
-			}
-		}
-	}
-	c.svcMu.RLock()
-	pools := append([]*rpc.Pool(nil), c.pools...)
-	servers := append([]*rpc.Server(nil), c.servers...)
-	stores := append([]provider.PageStore(nil), c.DataStores...)
-	c.svcMu.RUnlock()
-	for _, p := range pools {
-		p.Close()
-	}
-	for _, s := range servers {
-		s.Close()
-	}
-	for _, st := range stores {
-		if cl, ok := st.(io.Closer); ok {
-			cl.Close()
-		}
+	c.mu.RLock()
+	nodes := append([]*node.Node(nil), c.nodes...)
+	c.mu.RUnlock()
+	for i := len(nodes) - 1; i >= 0; i-- {
+		nodes[i].Close()
 	}
 	c.fab.Close()
 }

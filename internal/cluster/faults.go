@@ -6,11 +6,14 @@
 //
 //   - Gray failures over the netsim fabric (docs/robustness.md):
 //     SlowProvider, StallProvider, FlakyProvider and FlakyLink degrade
-//     a node's links without stopping its process — heartbeats keep
-//     flowing (they are sent by the harness's own "hb" host), so the
-//     provider manager keeps believing the node is healthy. These are
-//     the failures the deadline/hedge/breaker machinery is built to
-//     absorb, and Heal undoes them all.
+//     a node's links without stopping its process. Heartbeats keep
+//     flowing, so the provider manager keeps believing the node is
+//     healthy: the provider node sends them from its own pool, whose
+//     connections leave the host from a dial address ("node0:0"), not
+//     from the faulted "node0:data" endpoint. These are the failures
+//     the deadline/hedge/breaker machinery is built to absorb, and Heal
+//     undoes them all. (Host-wide faults — FlakyLink to "pm", or
+//     Fabric().SetHostFault — do reach the heartbeats.)
 
 package cluster
 
@@ -19,18 +22,28 @@ import (
 	"time"
 
 	"blob/internal/netsim"
+	"blob/internal/node"
 	"blob/internal/vmanager"
 )
+
+// vmNode returns replica j of vmanager shard s, or nil when out of
+// range or killed.
+func (c *Cluster) vmNode(s, j int) *node.Node {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if s < 0 || s >= len(c.vmNodes) || j < 0 || j >= len(c.vmNodes[s]) {
+		return nil
+	}
+	return c.vmNodes[s][j]
+}
 
 // VMReplica returns replica j of vmanager shard s, or nil after
 // KillVMReplica (until RestartVMReplica brings it back).
 func (c *Cluster) VMReplica(s, j int) *vmanager.Replica {
-	c.svcMu.RLock()
-	defer c.svcMu.RUnlock()
-	if s < 0 || s >= len(c.VMReplicas) || j < 0 || j >= len(c.VMReplicas[s]) {
-		return nil
+	if n := c.vmNode(s, j); n != nil {
+		return n.Replica()
 	}
-	return c.VMReplicas[s][j]
+	return nil
 }
 
 // VMShardLeader polls the live replicas of shard s and returns the index
@@ -38,13 +51,12 @@ func (c *Cluster) VMReplica(s, j int) *vmanager.Replica {
 // several claim (a partitioned stale leader plus its replacement), the
 // highest term wins.
 func (c *Cluster) VMShardLeader(s int) int {
-	c.svcMu.RLock()
-	defer c.svcMu.RUnlock()
-	if s < 0 || s >= len(c.VMReplicas) {
+	if s < 0 || s >= len(c.vmNodes) {
 		return -1
 	}
 	best, bestTerm := -1, uint64(0)
-	for j, rep := range c.VMReplicas[s] {
+	for j := range c.vmNodes[s] {
+		rep := c.VMReplica(s, j)
 		if rep == nil {
 			continue
 		}
@@ -55,42 +67,33 @@ func (c *Cluster) VMShardLeader(s int) int {
 	return best
 }
 
-// KillVMReplica crash-stops replica j of shard s: its RPC server closes
-// (in-flight and future connections die) and the replica process stops.
+// KillVMReplica crash-stops replica j of shard s: its node closes
+// (in-flight and future connections die, the replica process stops).
 // All in-memory version state is lost — exactly a node crash. Restart
 // with RestartVMReplica. No-op if already killed.
 func (c *Cluster) KillVMReplica(s, j int) error {
-	c.svcMu.Lock()
-	if s < 0 || s >= len(c.VMReplicas) || j < 0 || j >= len(c.VMReplicas[s]) {
-		c.svcMu.Unlock()
+	c.mu.Lock()
+	if s < 0 || s >= len(c.vmNodes) || j < 0 || j >= len(c.vmNodes[s]) {
+		c.mu.Unlock()
 		return fmt.Errorf("cluster: no vmanager replica s%dr%d", s, j)
 	}
-	rep, srv := c.VMReplicas[s][j], c.VMServers[s][j]
-	c.VMReplicas[s][j] = nil
-	c.VMServers[s][j] = nil
-	c.svcMu.Unlock()
-	if srv != nil {
-		srv.Close()
-	}
-	if rep != nil {
-		rep.Close()
+	n := c.vmNodes[s][j]
+	c.vmNodes[s][j] = nil
+	c.mu.Unlock()
+	if n != nil {
+		n.Close()
 	}
 	return nil
 }
 
 // RestartVMReplica relaunches a killed replica at its original address
-// with empty state. It boots as a follower (or as the deterministic
-// term-0 leader if it is replica 0 — a stale claim the incumbent's
-// higher term immediately deposes) and catches up by snapshot install
-// from the current leader.
+// with empty state. It boots as a follower (Rejoin, even replica 0) and
+// catches up by snapshot install from the current leader.
 func (c *Cluster) RestartVMReplica(s, j int) error {
-	c.svcMu.RLock()
-	ok := s >= 0 && s < len(c.VMReplicas) && j >= 0 && j < len(c.VMReplicas[s])
-	var running bool
-	if ok {
-		running = c.VMReplicas[s][j] != nil
-	}
-	c.svcMu.RUnlock()
+	c.mu.RLock()
+	ok := s >= 0 && s < len(c.vmNodes) && j >= 0 && j < len(c.vmNodes[s])
+	running := ok && c.vmNodes[s][j] != nil
+	c.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("cluster: no vmanager replica s%dr%d", s, j)
 	}
@@ -124,13 +127,13 @@ func (c *Cluster) Fabric() *netsim.Net { return c.fab }
 // DataHostName returns the simulated host name of data provider i —
 // the value FlakyLink and Fabric-level fault injection address hosts
 // by.
-func (c *Cluster) DataHostName(i int) string { return c.dataHostName(i) }
+func (c *Cluster) DataHostName(i int) string { return c.hostName("data", i) }
 
 // dataAddr is data provider i's RPC endpoint on the fabric. Faults are
 // installed on the endpoint, not the host, so a co-located metadata
 // provider on the same simulated machine stays healthy — the sharpest
 // form of gray failure.
-func (c *Cluster) dataAddr(i int) string { return c.dataHostName(i) + ":data" }
+func (c *Cluster) dataAddr(i int) string { return c.DataHostName(i) + ":data" }
 
 // SlowProvider makes data provider i slow without killing it: every
 // frame to or from its RPC endpoint is delayed by extra, plus a

@@ -181,3 +181,32 @@ func TestMonitorSnapshotRPC(t *testing.T) {
 		t.Fatalf("want ≥2 membership-refresh events in the monitor tail, got %d (snapshot %+v)", refreshes, snap)
 	}
 }
+
+// TestMonitorHeartbeatDeathWithoutRepairer pins that heartbeat-death
+// detection does not depend on a repairer: with heartbeats and the
+// monitor on but RepairInterval 0, a provider that goes silent must
+// still be journaled dead and reach the monitor's tail.
+func TestMonitorHeartbeatDeathWithoutRepairer(t *testing.T) {
+	cl, err := cluster.Launch(cluster.Config{
+		DataProviders:     2,
+		MetaProviders:     2,
+		HeartbeatInterval: 10 * time.Millisecond,
+		Monitor:           true,
+		MonitorInterval:   20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Shutdown()
+	waitHealth(t, cl, monitor.HealthGreen, nil, 5*time.Second)
+
+	cl.StopProviderHeartbeat(0)
+	waitHealth(t, cl, monitor.HealthYellow, func(s monitor.ClusterSnapshot) bool {
+		for _, e := range cl.Mon.EventsSince(0, events.SevWarn) {
+			if e.Type == events.HeartbeatDeath {
+				return s.DeadProviders == 1
+			}
+		}
+		return false
+	}, 5*time.Second)
+}

@@ -10,12 +10,9 @@ import (
 
 	"blob/internal/cluster"
 	"blob/internal/core"
-	"blob/internal/dht"
 	"blob/internal/meta"
-	"blob/internal/pmanager"
-	"blob/internal/provider"
+	"blob/internal/node"
 	"blob/internal/rpc"
-	"blob/internal/vmanager"
 )
 
 // The snapshot-isolation invariant (docs/workloads.md): once a client
@@ -157,37 +154,28 @@ func TestSnapshotIsolationNetsim(t *testing.T) {
 }
 
 func TestSnapshotIsolationTCP(t *testing.T) {
-	// Real loopback sockets, assembled like cmd/blobnode deploys them
-	// (see TestRealTCPDeployment).
-	start := func(register func(*rpc.Server)) string {
-		srv := rpc.NewServer()
-		register(srv)
+	// Real loopback sockets, nodes booted through node.Start as
+	// cmd/blobnode boots them.
+	var pmAddr string
+	boot := func(roles ...string) string {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Skipf("loopback TCP unavailable: %v", err)
 		}
-		srv.Start(l)
-		t.Cleanup(srv.Close)
-		return l.Addr().String()
-	}
-	pm := pmanager.New(pmanager.Config{})
-	dir := dht.NewDirectory()
-	pmAddr := start(func(s *rpc.Server) {
-		pm.RegisterHandlers(s)
-		dir.RegisterHandlers(s)
-	})
-	vm := vmanager.New(vmanager.Config{})
-	t.Cleanup(vm.Close)
-	vmAddr := start(vm.RegisterHandlers)
-	for i := 0; i < 3; i++ {
-		ds := provider.NewService(provider.NewStore(0))
-		ms := dht.NewStore()
-		addr := start(func(s *rpc.Server) {
-			ds.RegisterHandlers(s)
-			ms.RegisterHandlers(s)
+		addr := l.Addr().String()
+		n, err := node.Start(context.Background(), node.Config{
+			Roles: roles, Listener: l, Network: rpc.TCP{}, Advertise: addr, PM: pmAddr,
 		})
-		pm.Register(addr, 0)
-		dir.Register(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Close)
+		return addr
+	}
+	pmAddr = boot(node.PManager)
+	vmAddr := boot(node.VManager)
+	for i := 0; i < 3; i++ {
+		boot(node.Provider, node.Metadata)
 	}
 	snapshotIsolationInvariant(t, func(t *testing.T) *core.Client {
 		c, err := core.NewClient(context.Background(), core.Options{

@@ -72,6 +72,17 @@ func (s Strategy) String() string {
 	}
 }
 
+// ParseStrategy is the inverse of Strategy.String: it accepts
+// "round-robin", "least-loaded" and "power-of-two".
+func ParseStrategy(name string) (Strategy, error) {
+	for _, s := range []Strategy{RoundRobin, LeastLoaded, PowerOfTwo} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("pmanager: unknown placement strategy %q (want round-robin, least-loaded or power-of-two)", name)
+}
+
 // ErrNoProviders is returned when placement cannot be satisfied.
 var ErrNoProviders = errors.New("pmanager: no live data providers")
 
@@ -237,7 +248,7 @@ func (m *Manager) Heartbeat(id uint32, bytesUsed, activeOps int64, digHash uint6
 // re-arms). It blocks until stop closes, so callers run it in a
 // goroutine; a manager without a heartbeat timeout has no liveness
 // signal and returns immediately. The repair pipeline hangs off this:
-// the cluster (and blobnode's pmanager role) wire onDeath to trigger an
+// the pmanager role of internal/node wires onDeath to trigger an
 // immediate repair pass instead of waiting out the RepairInterval
 // timer, cutting the window a second failure could widen into data
 // loss.

@@ -336,3 +336,30 @@ func TestDeathWatchDisabled(t *testing.T) {
 		t.Fatal("DeathWatch did not return immediately")
 	}
 }
+
+// TestParseStrategy pins ParseStrategy as the inverse of String and
+// that unknown names (including near misses) are rejected rather than
+// silently falling back to round-robin.
+func TestParseStrategy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Strategy
+		ok   bool
+	}{
+		{"round-robin", RoundRobin, true},
+		{"least-loaded", LeastLoaded, true},
+		{"power-of-two", PowerOfTwo, true},
+		{"leastloaded", 0, false},
+		{"Round-Robin", 0, false},
+		{"", 0, false},
+		{"strategy(7)", 0, false},
+	} {
+		got, err := ParseStrategy(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+		if tc.ok && got.String() != tc.name {
+			t.Errorf("%v.String() = %q, want %q", got, got.String(), tc.name)
+		}
+	}
+}
