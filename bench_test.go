@@ -214,11 +214,10 @@ func BenchmarkAblationHotPath(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			b.ReportMetric(rep.WriteAllocReductionPct, "write-alloc-reduction-%")
-			b.ReportMetric(rep.ReadAllocReductionPct, "read-alloc-reduction-%")
-			b.ReportMetric(rep.WriteBytesReductionPct, "write-bytes-reduction-%")
-			b.ReportMetric(rep.ReadBytesReductionPct, "read-bytes-reduction-%")
-			b.ReportMetric(rep.WriteMeanSpeedupPct, "write-mean-speedup-%")
+			b.ReportMetric(rep.Vectored.WriteAllocsPerOp, "write-allocs/op")
+			b.ReportMetric(rep.Vectored.ReadAllocsPerOp, "read-allocs/op")
+			b.ReportMetric(rep.TraceOverheadPct, "trace-overhead-%")
+			b.ReportMetric(rep.MonitorOverheadPct, "monitor-overhead-%")
 		}
 	}
 }

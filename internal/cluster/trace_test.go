@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"blob/internal/erasure"
 	"blob/internal/trace"
 )
 
@@ -13,12 +14,30 @@ import (
 // traced WriteBlob against the simulated cluster must leave spans in at
 // least three processes' ring buffers (client, version manager, data
 // provider), reassemblable into a single tree rooted at core.WriteBlob.
+// It runs under both redundancy modes, whose page pushes take different
+// code paths (replicated batches vs per-shard stripe dispatch).
 func TestTracedWriteSpansThreeProcesses(t *testing.T) {
-	c, err := Launch(Config{
-		DataProviders:    2,
-		MetaProviders:    2,
-		TraceSampleEvery: 1,
-	})
+	for _, tc := range []struct {
+		name      string
+		red       erasure.Redundancy
+		providers int
+	}{
+		{"replicate", erasure.Redundancy{}, 2},
+		{"rs(4,2)", erasure.Redundancy{K: 4, M: 2}, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testTracedWrite(t, Config{
+				DataProviders:    tc.providers,
+				MetaProviders:    2,
+				Redundancy:       tc.red,
+				TraceSampleEvery: 1,
+			})
+		})
+	}
+}
+
+func testTracedWrite(t *testing.T, cfg Config) {
+	c, err := Launch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,9 @@
 package core_test
 
 // Tests for the zero-copy data path and the pipelined write protocol:
-// legacy/vectored interoperability (either codec against the same
-// providers), byte-identical round trips under concurrency (the -race
-// gate the acceptance criteria name), and pipelined-write failure
-// handling.
+// cross-client round trips over the same providers, byte-identical
+// round trips under concurrency (the -race gate), and pipelined-write
+// failure handling.
 
 import (
 	"bytes"
@@ -19,10 +18,11 @@ import (
 	"blob/internal/core"
 )
 
-// TestLegacyVectoredInterop writes with each codec and reads with the
-// other: the wire format is shared, so pages written by either client
-// must verify and round-trip through both read paths.
-func TestLegacyVectoredInterop(t *testing.T) {
+// TestCrossClientRoundTrip alternates two independent clients as writer
+// and reader over the same providers: pages written by one client must
+// verify and read back byte-exact through the other, whose metadata
+// cache and connections share nothing with the writer's.
+func TestCrossClientRoundTrip(t *testing.T) {
 	cl, err := cluster.Launch(cluster.Config{DataProviders: 3, DataReplicas: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -31,10 +31,8 @@ func TestLegacyVectoredInterop(t *testing.T) {
 	ctx := context.Background()
 
 	clients := make([]*core.Client, 2)
-	for i, legacy := range []bool{false, true} {
-		opts := cl.ClientOptions(fmt.Sprintf("interop%d", i))
-		opts.LegacyDataPath = legacy
-		c, err := core.NewClient(ctx, opts)
+	for i := range clients {
+		c, err := core.NewClient(ctx, cl.ClientOptions(fmt.Sprintf("client%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +68,7 @@ func TestLegacyVectoredInterop(t *testing.T) {
 			t.Fatalf("round %d read: %v", round, err)
 		}
 		if !bytes.Equal(got, data) {
-			t.Fatalf("round %d: cross-codec round trip corrupted data", round)
+			t.Fatalf("round %d: cross-client round trip corrupted data", round)
 		}
 	}
 }

@@ -56,14 +56,16 @@ func (b *Blob) putStriped(ctx context.Context, writeID uint64, buf []byte) ([]*m
 	pend := make([]*rpc.Pending, 0, int(nStripes)*(k+m))
 	// Every early error return must drain the already-dispatched calls:
 	// their segments alias buf (data shards) and must stay untouched
-	// until flushed.
+	// until flushed. The frames carry the write's trace, as putPages'
+	// do, so a traced rs write shows the provider hop.
+	tc := trace.FromContext(ctx)
 	push := func(id uint32, rel uint32, data []byte) error {
 		addr, err := b.c.providerAddr(ctx, id)
 		if err != nil {
 			return err
 		}
 		segs := provider.EncodePutPagesVec(b.id, writeID, []uint32{rel}, [][]byte{data})
-		pend = append(pend, b.c.pool.GoVec(addr, provider.MPutPages, segs))
+		pend = append(pend, b.c.pool.GoVecT(addr, provider.MPutPages, segs, tc))
 		return nil
 	}
 	for s := uint64(0); s < nStripes; s++ {
@@ -261,9 +263,12 @@ func (b *Blob) reconstructStripe(ctx context.Context, items []stripedItem) error
 		}
 	}
 
+	// Each survivor lands in its own page buffer: the decoded shards
+	// outlive the response frames (reconstruction and re-push use them).
 	type group struct {
 		refs  []provider.PageRef
 		slots []int
+		dsts  [][]byte
 	}
 	groups := make(map[uint32]*group)
 	for s := 0; s < n; s++ {
@@ -278,6 +283,7 @@ func (b *Blob) reconstructStripe(ctx context.Context, items []stripedItem) error
 		}
 		g.refs = append(g.refs, provider.PageRef{Blob: b.id, Write: write, RelPage: ref.SlotRel(s)})
 		g.slots = append(g.slots, s)
+		g.dsts = append(g.dsts, make([]byte, b.pageSize))
 	}
 
 	tc := trace.FromContext(ctx)
@@ -302,14 +308,15 @@ func (b *Blob) reconstructStripe(ctx context.Context, items []stripedItem) error
 			}
 			continue
 		}
-		datas, err := provider.DecodeGetPages(resp, len(gs[i].refs))
+		status := make([]provider.PageStatus, len(gs[i].refs))
+		err = provider.DecodeGetPagesInto(resp, gs[i].dsts, status)
+		p.Release()
 		if err != nil {
 			return err
 		}
-		for j, data := range datas {
-			slot := gs[i].slots[j]
-			if data == nil || uint64(len(data)) != b.pageSize ||
-				wire.Checksum64(data) != ref.Sums[slot] {
+		for j, st := range status {
+			slot, data := gs[i].slots[j], gs[i].dsts[j]
+			if st != provider.PageOK || wire.Checksum64(data) != ref.Sums[slot] {
 				continue // absent or corrupt shard: not a survivor
 			}
 			shards[slot] = data

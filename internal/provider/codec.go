@@ -1,16 +1,16 @@
 package provider
 
-// Zero-copy request/response codecs for the page data path. The wire
-// layouts are byte-identical to the legacy EncodePutPages/DecodeGetPages
-// pair (docs/perf.md records the copy budget): the difference is purely
-// in memory traffic. EncodePutPagesVec emits scatter-gather segments
-// whose page payloads alias the caller's buffer — the rpc layer flushes
-// them with one vectored write, so page bytes cross client memory zero
-// times between the caller's buffer and the socket. DecodeGetPagesInto
-// copies each fetched page exactly once, from the pooled response frame
+// Zero-copy request/response codecs for the page data path (docs/perf.md
+// records the copy budget). EncodePutPagesVec is the one definition of
+// the MPutPages layout: it emits scatter-gather segments whose page
+// payloads alias the caller's buffer — the rpc layer flushes them with
+// one vectored write, so page bytes cross client memory zero times
+// between the caller's buffer and the socket. DecodeGetPagesInto copies
+// each fetched page exactly once, from the pooled response frame
 // straight into the read destination the caller computed.
 
 import (
+	"bytes"
 	"fmt"
 
 	"blob/internal/wire"
@@ -21,6 +21,8 @@ import (
 // arena, page payload segments aliasing datas. The datas slices must
 // stay immutable until the call completes (Pending.Wait returns). All
 // pages must share the same blob and write identity.
+//
+// Layout: u64 blob | u64 write | uvarint n | n × (u32 rel | uvarint len | len bytes).
 func EncodePutPagesVec(blob, write uint64, rels []uint32, datas [][]byte) [][]byte {
 	// Exact worst-case header arena: blob+write (16) + count varint (10)
 	// + per page rel (4) and length varint (10). One allocation each for
@@ -35,6 +37,13 @@ func EncodePutPagesVec(blob, write uint64, rels []uint32, datas [][]byte) [][]by
 		vw.Alias(datas[i])
 	}
 	return vw.Segs()
+}
+
+// EncodePutPages is EncodePutPagesVec flattened into one contiguous
+// body, for synchronous rpc.Pool.Call callers (the repair pushes) that
+// want the pool's breaker admission and retries.
+func EncodePutPages(blob, write uint64, rels []uint32, datas [][]byte) []byte {
+	return bytes.Join(EncodePutPagesVec(blob, write, rels, datas), nil)
 }
 
 // PageStatus is the per-page outcome of DecodeGetPagesInto.

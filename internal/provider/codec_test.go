@@ -1,43 +1,46 @@
 package provider
 
-// Tests for the zero-copy codecs: wire-format equivalence with the
-// legacy pair, status semantics of DecodeGetPagesInto, and the
-// allocation regression gates the hot path is held to.
+// Tests for the zero-copy codecs: the pinned MPutPages wire layout,
+// status semantics of DecodeGetPagesInto, and the allocation regression
+// gates the hot path is held to.
 
 import (
 	"bytes"
 	"context"
-	"math/rand"
+	"encoding/hex"
 	"testing"
 )
 
-// joinSegs flattens scatter-gather segments for comparison with the
-// contiguous legacy encoding.
-func joinSegs(segs [][]byte) []byte {
-	var out []byte
-	for _, s := range segs {
-		out = append(out, s...)
+// TestEncodePutPagesLayout pins the MPutPages wire layout with golden
+// bytes — u64 blob | u64 write | uvarint n | n × (u32 rel | uvarint len
+// | payload), little-endian — so any layout change fails here before it
+// breaks interop with deployed providers. Both the vectored segments
+// (flattened) and the contiguous EncodePutPages must match.
+func TestEncodePutPagesLayout(t *testing.T) {
+	long := bytes.Repeat([]byte{0xEE}, 200) // two-byte length varint
+	cases := []struct {
+		name  string
+		rels  []uint32
+		datas [][]byte
+		want  string
+	}{
+		{"0 pages", nil, nil,
+			"2a00000000000000" + "6300000000000000" + "00"},
+		{"2 pages", []uint32{7, 300}, [][]byte{[]byte("ab"), long},
+			"2a00000000000000" + "6300000000000000" + "02" +
+				"07000000" + "02" + "6162" +
+				"2c010000" + "c801" + hex.EncodeToString(long)},
 	}
-	return out
-}
-
-// TestEncodePutPagesVecEquivalent pins that the vectored encoder emits
-// byte-identical frames to the legacy contiguous encoder, so either side
-// of the ablation flag interoperates with any provider.
-func TestEncodePutPagesVecEquivalent(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, npages := range []int{0, 1, 3, 64} {
-		rels := make([]uint32, npages)
-		datas := make([][]byte, npages)
-		for i := range rels {
-			rels[i] = uint32(i * 7)
-			datas[i] = make([]byte, 1+rng.Intn(4096))
-			rng.Read(datas[i])
+	for _, c := range cases {
+		want, err := hex.DecodeString(c.want)
+		if err != nil {
+			t.Fatal(err)
 		}
-		legacy := EncodePutPages(42, 99, rels, datas)
-		vec := joinSegs(EncodePutPagesVec(42, 99, rels, datas))
-		if !bytes.Equal(legacy, vec) {
-			t.Fatalf("npages=%d: vectored encoding differs from legacy", npages)
+		if got := bytes.Join(EncodePutPagesVec(42, 99, c.rels, c.datas), nil); !bytes.Equal(got, want) {
+			t.Errorf("%s: EncodePutPagesVec = %x, want %x", c.name, got, want)
+		}
+		if got := EncodePutPages(42, 99, c.rels, c.datas); !bytes.Equal(got, want) {
+			t.Errorf("%s: EncodePutPages = %x, want %x", c.name, got, want)
 		}
 	}
 }
@@ -85,7 +88,7 @@ func TestDecodeGetPagesInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := joinSegs(segs)
+	body := bytes.Join(segs, nil)
 
 	dsts := make([][]byte, len(refs))
 	for i := range dsts {
@@ -105,14 +108,15 @@ func TestDecodeGetPagesInto(t *testing.T) {
 		t.Error("destination bytes differ from stored pages")
 	}
 
-	// The legacy decoder must agree on the same body.
+	// The copying decoder the repair paths use must agree on the same
+	// body, including the wrong-size page it returns at its own size.
 	datas, err := DecodeGetPages(body, len(refs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(datas[0], pageA) || !bytes.Equal(datas[1], pageB) ||
 		datas[2] != nil || !bytes.Equal(datas[3], short) {
-		t.Error("legacy decode of vectored response differs")
+		t.Error("copying decode of the vectored response differs")
 	}
 }
 
@@ -153,7 +157,7 @@ func TestDecodeGetPagesIntoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := joinSegs(segs)
+	body := bytes.Join(segs, nil)
 	dsts := make([][]byte, npages)
 	for i := range dsts {
 		dsts[i] = make([]byte, 4096)

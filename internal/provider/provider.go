@@ -360,24 +360,6 @@ func (s *Store) Snapshot() Stats {
 
 // Client-side request encoders, shared by the blob client and tests.
 
-// EncodePutPages builds an MPutPages request body for pages of one write.
-// All pages must share the same blob and write identity.
-func EncodePutPages(blob, write uint64, rels []uint32, datas [][]byte) []byte {
-	size := 24
-	for _, d := range datas {
-		size += len(d) + 8
-	}
-	w := wire.NewWriter(size)
-	w.Uint64(blob)
-	w.Uint64(write)
-	w.Uvarint(uint64(len(rels)))
-	for i := range rels {
-		w.Uint32(rels[i])
-		w.BytesField(datas[i])
-	}
-	return w.Bytes()
-}
-
 // PageRef identifies one page to fetch.
 type PageRef struct {
 	Blob    uint64
@@ -397,8 +379,11 @@ func EncodeGetPages(refs []PageRef) []byte {
 	return w.Bytes()
 }
 
-// DecodeGetPages parses an MGetPages response into per-request results;
-// a nil slice means the page was absent on this provider.
+// DecodeGetPages parses an MGetPages response into per-request results,
+// copying each page into a fresh slice; a nil slice means the page was
+// absent on this provider. It serves the repair paths, which store pages
+// whose size they do not know up front; the read path decodes in place
+// with DecodeGetPagesInto.
 func DecodeGetPages(body []byte, want int) ([][]byte, error) {
 	r := wire.NewReader(body)
 	n := int(r.Uvarint())

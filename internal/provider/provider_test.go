@@ -258,14 +258,19 @@ func BenchmarkGetPagesRPC(b *testing.B) {
 		refs[i] = PageRef{1, 1, uint32(i)}
 	}
 	req := EncodeGetPages(refs)
+	// The read path's codec: pages land in reused destinations and the
+	// pooled response frame is released after each decode.
+	dsts := make([][]byte, len(refs))
+	for i := range dsts {
+		dsts[i] = make([]byte, len(page))
+	}
+	status := make([]PageStatus, len(refs))
+	decode := func(resp []byte) error { return DecodeGetPagesInto(resp, dsts, status) }
 	b.SetBytes(int64(16 * len(page)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := pool.Call(ctx, addr, MGetPages, req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := DecodeGetPages(resp, 16); err != nil {
+		if err := pool.CallWith(ctx, addr, MGetPages, req, decode); err != nil {
 			b.Fatal(err)
 		}
 	}
