@@ -2,7 +2,6 @@ package dht
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -244,7 +243,8 @@ type KV struct {
 // Each node's request body is assembled as scatter-gather segments whose
 // value payloads alias the callers' buffers: no group encode buffer, no
 // contiguous re-copy. The values must stay immutable until MultiPut
-// returns.
+// returns. Like Put, it succeeds when every key was acknowledged by at
+// least one of its replicas; a key stored nowhere fails the batch.
 func (c *Client) MultiPut(ctx context.Context, kvs []KV) error {
 	if len(kvs) == 0 {
 		return nil
@@ -253,37 +253,57 @@ func (c *Client) MultiPut(ctx context.Context, kvs []KV) error {
 	if ring.Size() == 0 {
 		return ErrNoNodes
 	}
+	// Resolve every key's replicas once, recording which groups hold it,
+	// and pre-count each group's share so its arena and segment list are
+	// sized once for its own keys, not for the whole batch.
 	type group struct {
-		vw       wire.VecWriter
-		countSeg int
-		n        int
+		addr  string
+		vw    wire.VecWriter
+		n     int
+		acked bool
 	}
-	groups := make(map[string]*group)
+	var groups []*group
+	byAddr := make(map[string]int32)
+	holders := make([]int32, 0, len(kvs)*c.replicas) // group index per (key, replica)
+	ends := make([]int, len(kvs))                    // holders[ends[i-1]:ends[i]] hold key i
 	var reps []NodeInfo
-	for _, kv := range kvs {
+	for i, kv := range kvs {
 		reps = ring.ReplicasForAppend(kv.Key, c.replicas, reps)
 		for _, rep := range reps {
-			g := groups[rep.Addr]
-			if g == nil {
-				g = &group{vw: wire.NewVec(16*len(kvs), 2+2*len(kvs))}
-				g.countSeg = g.vw.ReserveSeg() // batch count, known at dispatch
-				groups[rep.Addr] = g
+			gi, ok := byAddr[rep.Addr]
+			if !ok {
+				gi = int32(len(groups))
+				byAddr[rep.Addr] = gi
+				groups = append(groups, &group{addr: rep.Addr})
 			}
-			g.vw.Uint64(kv.Key)
-			g.vw.Uvarint(uint64(len(kv.Value)))
-			g.vw.Alias(kv.Value)
-			g.n++
+			groups[gi].n++
+			holders = append(holders, gi)
 		}
+		ends[i] = len(holders)
+	}
+	for _, g := range groups {
+		// Worst-case header arena: count varint (10) + per key the key
+		// (8) and value length varint (10).
+		g.vw = wire.NewVec(10+18*g.n, 2*g.n)
+		g.vw.Uvarint(uint64(g.n))
+	}
+	from := 0
+	for i, kv := range kvs {
+		for _, gi := range holders[from:ends[i]] {
+			vw := &groups[gi].vw
+			vw.Uint64(kv.Key)
+			vw.Uvarint(uint64(len(kv.Value)))
+			vw.Alias(kv.Value)
+		}
+		from = ends[i]
 	}
 	tc := trace.FromContext(ctx)
-	pend := make([]*rpc.Pending, 0, len(groups))
-	for addr, g := range groups {
-		g.vw.SetSeg(g.countSeg, binary.AppendUvarint(make([]byte, 0, 10), uint64(g.n)))
-		pend = append(pend, c.pool.GoVecT(addr, MMultiPut, g.vw.Segs(), tc))
+	pend := make([]*rpc.Pending, len(groups))
+	for i, g := range groups {
+		pend[i] = c.pool.GoVecT(g.addr, MMultiPut, g.vw.Segs(), tc)
 	}
 	var firstErr error
-	acked := 0
-	for _, p := range pend {
+	for i, p := range pend {
 		if _, err := p.Wait(ctx); err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -291,15 +311,27 @@ func (c *Client) MultiPut(ctx context.Context, kvs []KV) error {
 			continue
 		}
 		p.Release()
-		acked++
+		groups[i].acked = true
 	}
-	if acked == 0 && firstErr != nil {
-		return fmt.Errorf("dht: multiput failed everywhere: %w", firstErr)
+	if firstErr == nil {
+		return nil
 	}
-	if firstErr != nil && acked < len(groups) && c.replicas == 1 {
-		// Partial failure: with replicas >= 2 the surviving copies serve
-		// reads; with replicas == 1 some keys may be lost, so report.
-		return fmt.Errorf("dht: multiput partial failure: %w", firstErr)
+	// A key is stored once any one of its replicas acked, as with Put;
+	// a key none of whose replicas acked is lost, so the batch fails.
+	lost := 0
+	from = 0
+	for _, to := range ends {
+		stored := false
+		for _, gi := range holders[from:to] {
+			stored = stored || groups[gi].acked
+		}
+		if !stored {
+			lost++
+		}
+		from = to
+	}
+	if lost > 0 {
+		return fmt.Errorf("dht: multiput stored %d of %d keys nowhere: %w", lost, len(kvs), firstErr)
 	}
 	return nil
 }

@@ -375,6 +375,70 @@ func TestMultiGetFallbackTier(t *testing.T) {
 	}
 }
 
+// ghostFabric is testFabric with extra ring members that nothing
+// listens on: every call to them is refused.
+func ghostFabric(t *testing.T, n, replicas int, ghosts ...string) (*Client, func()) {
+	t.Helper()
+	cli, _, cleanup := testFabric(t, n, replicas)
+	ctx := context.Background()
+	for _, g := range ghosts {
+		if _, err := RegisterWith(ctx, cli.pool, "dir:rpc", g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cli.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return cli, cleanup
+}
+
+func multiPutBatch(n int) ([]KV, []uint64) {
+	kvs := make([]KV, n)
+	keys := make([]uint64, n)
+	for i := range kvs {
+		keys[i] = wire.HashFields(uint64(7000 + i))
+		kvs[i] = KV{Key: keys[i], Value: []byte{byte(i)}}
+	}
+	return kvs, keys
+}
+
+// TestMultiPutReportsKeysStoredNowhere: with two of five ring members
+// dead and two replicas per key, some keys have no live replica. MultiPut
+// must fail rather than ack a batch that is partly stored nowhere.
+func TestMultiPutReportsKeysStoredNowhere(t *testing.T) {
+	cli, cleanup := ghostFabric(t, 3, 2, "ghost0:rpc", "ghost1:rpc")
+	defer cleanup()
+	ctx := context.Background()
+	kvs, keys := multiPutBatch(300)
+	err := cli.MultiPut(ctx, kvs)
+	got, _ := cli.MultiGet(ctx, keys)
+	if len(got) == len(keys) {
+		t.Fatal("every key was stored: the fixture must leave some keys without a live replica")
+	}
+	if err == nil {
+		t.Fatalf("MultiPut acked a batch of which MultiGet finds %d of %d keys", len(got), len(keys))
+	}
+}
+
+// TestMultiPutAcksWhenEveryKeyHasALiveReplica: one dead ring member
+// leaves every key at least one live replica, so the batch is stored.
+func TestMultiPutAcksWhenEveryKeyHasALiveReplica(t *testing.T) {
+	cli, cleanup := ghostFabric(t, 3, 2, "ghost0:rpc")
+	defer cleanup()
+	ctx := context.Background()
+	kvs, keys := multiPutBatch(300)
+	if err := cli.MultiPut(ctx, kvs); err != nil {
+		t.Fatal(err)
+	}
+	got, err := cli.MultiGet(ctx, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(keys) {
+		t.Errorf("MultiGet returned %d of %d acked keys", len(got), len(keys))
+	}
+}
+
 func TestDirectoryIdempotentRegister(t *testing.T) {
 	d := NewDirectory()
 	id1, _ := d.Register("x:1")

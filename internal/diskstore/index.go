@@ -112,7 +112,7 @@ func (sc *sidecar) encode() []byte {
 		w.Uint64(d.seq)
 	}
 	sc.bloom.Encode(w)
-	w.Uint64(wire.Checksum64(w.Bytes()))
+	w.Uint64(wire.FNV1a64(w.Bytes()))
 	return w.Bytes()
 }
 
@@ -125,7 +125,7 @@ func decodeSidecar(buf []byte) (*sidecar, error) {
 		return nil, fmt.Errorf("%w: sidecar %d bytes", ErrCorrupt, len(buf))
 	}
 	body, sumBytes := buf[:len(buf)-8], buf[len(buf)-8:]
-	if wire.Checksum64(body) != wire.NewReader(sumBytes).Uint64() {
+	if wire.FNV1a64(body) != wire.NewReader(sumBytes).Uint64() {
 		return nil, fmt.Errorf("%w: sidecar checksum mismatch", ErrCorrupt)
 	}
 	r := wire.NewReader(body)

@@ -146,7 +146,7 @@ func appendRecordHeaderSpace(dst []byte, bodyLen int) []byte {
 // just-appended record and stores it in the record's checksum slot.
 func fillChecksum(dst []byte, bodyLen int) {
 	body := dst[len(dst)-bodyLen:]
-	binary.LittleEndian.PutUint64(dst[len(dst)-bodyLen-8:], wire.Checksum64(body))
+	binary.LittleEndian.PutUint64(dst[len(dst)-bodyLen-8:], wire.FNV1a64(body))
 }
 
 // decodeRecord parses the record starting at buf. It returns the decoded
@@ -168,7 +168,7 @@ func decodeRecord(buf []byte) (record, int, error) {
 	}
 	sum := binary.LittleEndian.Uint64(buf[4:])
 	body := buf[recHeaderSize : recHeaderSize+bodyLen]
-	if wire.Checksum64(body) != sum {
+	if wire.FNV1a64(body) != sum {
 		return rec, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	rec.op = body[0]

@@ -42,7 +42,7 @@ func FetchLatency(ctx context.Context, c Caller, addr string) (get, put stats.Hi
 }
 
 // DigestBytes summarizes the backend's holdings for the heartbeat
-// piggyback: the encoded bloom digest plus its FNV-1a hash, which the
+// piggyback: the encoded bloom digest plus its checksum, which the
 // provider compares against the manager's held hash to decide whether
 // the bytes need resending at all. ok is false when the backend cannot
 // summarize (no BloomSummary capability) — send nothing, consumers must

@@ -98,7 +98,7 @@ func AppendLogRecord(dst []byte, rec LogRecord) []byte {
 	payload := w.Bytes()
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[4:12], wire.Checksum64(payload))
+	binary.LittleEndian.PutUint64(hdr[4:12], wire.FNV1a64(payload))
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
 }
@@ -120,7 +120,7 @@ func DecodeLogRecord(buf []byte) (LogRecord, int, error) {
 	}
 	sum := binary.LittleEndian.Uint64(buf[4:12])
 	payload := buf[12 : 12+plen]
-	if wire.Checksum64(payload) != sum {
+	if wire.FNV1a64(payload) != sum {
 		return LogRecord{}, 0, fmt.Errorf("%w: checksum mismatch", ErrLogCorrupt)
 	}
 	r := wire.NewReader(payload)
@@ -184,8 +184,9 @@ func EncodeLogRecords(recs []LogRecord) []byte {
 }
 
 // DecodeLogRecords decodes a full batch; unlike RecoverLog it fails on
-// any torn or corrupt frame, because an RPC body is never legitimately
-// truncated.
+// any torn or corrupt frame or sequence gap, because an RPC body is
+// never legitimately truncated and a leader sends a contiguous slice of
+// its log.
 func DecodeLogRecords(buf []byte) ([]LogRecord, error) {
 	var recs []LogRecord
 	n := 0
@@ -193,6 +194,9 @@ func DecodeLogRecords(buf []byte) ([]LogRecord, error) {
 		rec, sz, err := DecodeLogRecord(buf[n:])
 		if err != nil {
 			return nil, err
+		}
+		if len(recs) > 0 && rec.Seq != recs[len(recs)-1].Seq+1 {
+			return nil, fmt.Errorf("%w: seq %d after %d", ErrLogCorrupt, rec.Seq, recs[len(recs)-1].Seq)
 		}
 		recs = append(recs, rec)
 		n += sz

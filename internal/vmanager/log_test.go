@@ -1,6 +1,7 @@
 package vmanager
 
 import (
+	"encoding/hex"
 	"errors"
 	"testing"
 )
@@ -125,6 +126,9 @@ func TestRecoverLogTruncatesAtDamage(t *testing.T) {
 	if _, err := DecodeLogRecords(buf[:len(buf)-5]); err == nil {
 		t.Error("DecodeLogRecords accepted a torn batch")
 	}
+	if _, err := DecodeLogRecords(EncodeLogRecords(gap)); !errors.Is(err, ErrLogCorrupt) {
+		t.Errorf("DecodeLogRecords on a batch with a sequence gap: err = %v, want ErrLogCorrupt", err)
+	}
 }
 
 func frameLen(rec LogRecord) int { return len(AppendLogRecord(nil, rec)) }
@@ -220,5 +224,20 @@ func BenchmarkAppendLogRecord(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = AppendLogRecord(buf[:0], rec)
+	}
+}
+
+// TestLogFrameGoldenBytes pins one framed publish-log record, checksum
+// included: a persisted or replicated log written by an earlier build
+// must keep decoding, so any diff here is a log format change.
+func TestLogFrameGoldenBytes(t *testing.T) {
+	rec := LogRecord{Seq: 2, Op: OpAssign, Blob: 7, Version: 1, WriteID: 42, Offset: 8192, Length: 4096}
+	got := AppendLogRecord(nil, rec)
+	const want = "31000000" + // payload length 49
+		"e390e29ab6c97496" + // FNV-1a of the payload
+		"0200000000000000" + "02" + "0700000000000000" + // seq, op, blob
+		"0100000000000000" + "2a00000000000000" + "0020000000000000" + "0010000000000000" // version, write id, offset, length
+	if h := hex.EncodeToString(got); h != want {
+		t.Errorf("log frame encoding moved:\n got %s\nwant %s", h, want)
 	}
 }

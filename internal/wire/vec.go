@@ -65,18 +65,6 @@ func (v *VecWriter) Alias(p []byte) {
 	v.segs = append(v.segs, p)
 }
 
-// ReserveSeg appends a placeholder segment and returns its index, for
-// fields whose value is only known once the message is complete (batch
-// counts). Fill it with SetSeg before handing Segs to the rpc layer.
-func (v *VecWriter) ReserveSeg() int {
-	v.seal()
-	v.segs = append(v.segs, nil)
-	return len(v.segs) - 1
-}
-
-// SetSeg fills a segment reserved with ReserveSeg.
-func (v *VecWriter) SetSeg(i int, p []byte) { v.segs[i] = p }
-
 // Segs seals any trailing header run and returns the segment list.
 func (v *VecWriter) Segs() [][]byte {
 	v.seal()

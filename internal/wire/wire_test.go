@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -233,6 +234,38 @@ func TestChecksumDistinguishesData(t *testing.T) {
 	}
 }
 
+// TestChecksumKnownAnswers pins both checksums to their published
+// check values, so neither can drift into the other.
+func TestChecksumKnownAnswers(t *testing.T) {
+	if got := Checksum64([]byte("123456789")); got != 0xE3069283 {
+		t.Errorf("Checksum64(\"123456789\") = %#x, want the CRC-32C check value 0xe3069283", got)
+	}
+	if got := FNV1a64(nil); got != 0xcbf29ce484222325 {
+		t.Errorf("FNV1a64(nil) = %#x, want the FNV-1a offset basis", got)
+	}
+	if got := FNV1a64([]byte("a")); got != 0xaf63dc4c8601ec8c {
+		t.Errorf("FNV1a64(\"a\") = %#x, want 0xaf63dc4c8601ec8c", got)
+	}
+}
+
+// TestChecksumDetectsSingleBitFlips flips seeded bit positions of a
+// 64 KiB page one at a time. CRC-32C detects every single-bit error, so
+// each flip must change the page checksum.
+func TestChecksumDetectsSingleBitFlips(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	page := make([]byte, 64<<10)
+	rng.Read(page)
+	want := Checksum64(page)
+	for i := 0; i < 4096; i++ {
+		bit := rng.Intn(len(page) * 8)
+		page[bit/8] ^= 1 << (bit % 8)
+		if Checksum64(page) == want {
+			t.Fatalf("flipping bit %d left the checksum unchanged", bit)
+		}
+		page[bit/8] ^= 1 << (bit % 8)
+	}
+}
+
 func TestMix64AvalanchesLowBits(t *testing.T) {
 	// Consecutive integers must land far apart: count distinct high bytes
 	// across 256 consecutive inputs; a weak mixer would keep them clustered.
@@ -265,11 +298,24 @@ func BenchmarkWriterUint64(b *testing.B) {
 	}
 }
 
+// sumSink keeps the checksum benchmarks' results live: a discarded
+// result lets the compiler drop part of the inlined loop.
+var sumSink uint64
+
 func BenchmarkChecksum64KPage(b *testing.B) {
 	page := make([]byte, 64<<10)
 	b.SetBytes(int64(len(page)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Checksum64(page)
+		sumSink += Checksum64(page)
+	}
+}
+
+func BenchmarkFNV1a64KPage(b *testing.B) {
+	page := make([]byte, 64<<10)
+	b.SetBytes(int64(len(page)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sumSink += FNV1a64(page)
 	}
 }
